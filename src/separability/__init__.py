@@ -47,6 +47,7 @@ from .metrics import (
     ErrorComponents,
     FrameScores,
     MetricConfig,
+    ScoringReport,
     aggregate_song,
     decompose,
     framewise_scores,
@@ -80,6 +81,7 @@ __all__ = [
     "MutePlan",
     "OracleConfig",
     "ScoreTable",
+    "ScoringReport",
     "SelectionPlan",
     "SeparabilityError",
     "SilentReferenceError",

@@ -14,9 +14,11 @@ class AudioClip:
     """Multichannel PCM audio held as float64, shape (channels, samples).
 
     Samples are dimensionless amplitudes, nominally within [-1, 1] but not
-    clipped; mixtures of several stems may exceed full scale.  The array is
-    marked read-only after construction so clips can be shared freely
-    between threads and processes.
+    clipped; mixtures of several stems may exceed full scale.  NaN and
+    infinite samples are rejected, so every computation downstream may
+    assume finite input.  The array is marked read-only after
+    construction so clips can be shared freely between threads and
+    processes.
     """
 
     samples: np.ndarray
@@ -30,6 +32,8 @@ class AudioClip:
             raise InvalidInputError(
                 f"samples must be 1-D or (channels, samples), got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise InvalidInputError("samples must be finite; found NaN or infinite values")
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
         arr = np.ascontiguousarray(arr)

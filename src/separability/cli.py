@@ -34,7 +34,7 @@ from .analysis import (
 from .dataset import load_manifest, load_song, make_mixture, normalize_loudness
 from .errors import SeparabilityError
 from .irm import ZERO_BIN_POLICIES, OracleConfig, oracle_separate
-from .metrics import METRICS, MetricConfig, aggregate_song, framewise_scores
+from .metrics import METRICS, MetricConfig, ScoringReport, aggregate_song, framewise_scores
 from .scores import FORMAT_VERSION, ScoreTable, aggregate_dataset, summary_to_csv
 from .stft import WINDOW_KINDS, StftConfig, check_cola
 
@@ -155,6 +155,20 @@ def _dsp_metadata(
 # -- analyze -----------------------------------------------------------
 
 
+def _accounting(report: ScoringReport, instruments) -> dict:
+    """Window and solver counts of one song, in log order."""
+    return {
+        "windows_scored": report.windows_scored,
+        "silent_windows": dict(zip(instruments, report.silent_windows)),
+        "tail_samples_unscored": report.tail_samples_unscored,
+        "solver_fallbacks": {
+            "dense": report.dense_fallback,
+            "ridge": report.ridge,
+            "lstsq": report.lstsq,
+        },
+    }
+
+
 def _song_job(payload):
     """Score one song; runs in a worker process, shares nothing.
 
@@ -170,13 +184,15 @@ def _song_job(payload):
         song = make_mixture(song)
         stems = [song.stems[inst] for inst in instruments]
         estimates = oracle_separate(song.mixture, stems, stft_config, oracle_config, instruments)
-        frames = framewise_scores(stems, estimates, metric_config)
+        report = ScoringReport()
+        frames = framewise_scores(stems, estimates, metric_config, report)
         return {
             "song_id": song_id,
             "split": split,
             "status": "ok",
             "error": None,
             "n_windows": frames[0].n_windows,
+            "accounting": _accounting(report, instruments),
             "scores": {
                 inst: aggregate_song(fr) for inst, fr in zip(instruments, frames)
             },
@@ -188,6 +204,7 @@ def _song_job(payload):
             "status": "error",
             "error": f"{type(exc).__name__}: {exc}",
             "n_windows": 0,
+            "accounting": _accounting(ScoringReport(), ()),
             "scores": {},
         }
 
@@ -284,6 +301,7 @@ def cmd_analyze(args) -> int:
             "status": result["status"],
             "error": result["error"],
             "n_windows": result["n_windows"],
+            **result["accounting"],
             "scores": {
                 inst: {m: _json_score(values[m]) for m in METRICS}
                 for inst, values in result["scores"].items()

@@ -16,10 +16,11 @@ medians, which keeps a few degenerate windows from dominating a song.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 from scipy.signal import fftconvolve
 
@@ -87,93 +88,281 @@ def _mean_square(x: np.ndarray) -> float:
     return float(np.mean(x**2)) if x.size else 0.0
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 0).bit_length()
+# Shortest block of the lag-correlation FFTs.  Blocks also span at least
+# the filter length, so a lag below L only reaches into the next block;
+# at short filters longer blocks amortize the per-block overhead.
+_MIN_BLOCK = 256
+
+# A prediction-error covariance of the block-Toeplitz recursion counts as
+# positive definite when each Cholesky pivot keeps at least this share of
+# its regressor's energy.  Exactly dependent regressors leave ~1e-16.
+_PIVOT_FLOOR = 1e-10
+
+# Largest accepted normal-equation residual of the block-Toeplitz solve,
+# relative to |T| |x| + |b| per right-hand side.  Refined solutions of
+# the fixture and benchmark windows reach ~1e-18.
+_RESIDUAL_TOL = 1e-12
 
 
-class _Projector:
-    """Least-squares projection onto L-tap filtered copies of fixed signals.
+def _lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
+    """out[k, a, b] = sum_t x[a, t + k] * y[b, t] for 0 <= k < max_lag.
 
-    Building one is the expensive part (Gram assembly plus a Cholesky
-    factorization), so callers evaluating several estimates against the
-    same references construct the projector once and reuse it.
+    Signals are zero past their end.  Both are cut into blocks of B >=
+    max_lag samples; y's block b only meets x's blocks b and b + 1 at
+    those lags, so every pair costs a sum of 2B-point spectra.
+    """
+    n = x.shape[-1]
+    block = max(max_lag, _MIN_BLOCK)
+    n_blocks = -(-n // block)
+
+    def spectra(s):
+        padded = np.zeros((s.shape[0], (n_blocks + 1) * block))
+        padded[:, :n] = s
+        return np.fft.rfft(padded.reshape(s.shape[0], n_blocks + 1, block), 2 * block)
+
+    fx = spectra(x)
+    fy = spectra(y)[:, :n_blocks]
+    # Spectrum of the 2B-sample stretch of x starting at each block: the
+    # next block enters delayed by B, a factor (-1)^f on a 2B-point grid.
+    sign = np.where(np.arange(block + 1) % 2, -1.0, 1.0)
+    segments = fx[:, :-1] + sign * fx[:, 1:]
+    cross = np.matmul(segments.transpose(2, 0, 1), fy.conj().transpose(2, 1, 0))
+    return np.fft.irfft(cross, 2 * block, axis=0)[:max_lag]
+
+
+def _lower(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(L(g) y)[p] = sum_(k <= p) g[k] y[p - k]: lower block-triangular Toeplitz times y.
+
+    g is (L, m, m), y (L, m, r); a block convolution through the FFT.
+    """
+    flen = y.shape[0]
+    nfft = scipy.fft.next_fast_len(2 * flen - 1, real=True)
+    spectrum = np.fft.rfft(g, nfft, axis=0) @ np.fft.rfft(y, nfft, axis=0)
+    return np.fft.irfft(spectrum, nfft, axis=0)[:flen]
+
+
+def _upper(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L(g)^T y, i.e. out[q] = sum_k g[k]^T y[q + k]."""
+    return _lower(g.transpose(0, 2, 1), y[::-1])[::-1]
+
+
+def _toeplitz_matvec(lags: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the symmetric block-Toeplitz T[p, q] = lags[q - p], lags[-k] = lags[k].T."""
+    g = lags.transpose(0, 2, 1)
+    return _upper(g, x) + _lower(g, x) - g[0] @ x
+
+
+def _inverse_covariances(covs: np.ndarray, energy: np.ndarray) -> np.ndarray | None:
+    """Inverses of the stacked error covariances, or None if one is not
+    positive definite: a Cholesky pivot below _PIVOT_FLOOR times its
+    regressor's energy counts as zero."""
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(covs), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(pivots < _PIVOT_FLOOR * energy):
+        return None
+    return np.linalg.inv(covs)
+
+
+def _levinson(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Block predictors of T by the Whittle / Wiggins-Robinson recursion.
+
+    T is symmetric block Toeplitz, T[p, q] = lags[q - p] for m x m lag
+    blocks lags (L, m, m), lags[-k] = lags[k].T.  Returns the forward
+    predictor A and backward predictor B, both (L, m, m), with
+    T A = [V_f, 0, ..., 0], A[0] = I, T B = [0, ..., 0, V_b], B[-1] = I,
+    and the stacked inverses of V_f and V_b.  The order grows one block
+    at a time; None when a prediction-error covariance is not
+    numerically positive definite.
+    """
+    flen, m, _ = lags.shape
+    energy = np.diagonal(lags[0])
+    # Columns [(L-1-n) m, (L-1) m) hold [T_n^T ... T_1^T].
+    past = lags[::-1].transpose(2, 0, 1).reshape(m, flen * m)
+    # B of order n sits in the last n blocks of its buffer, so the zero
+    # block above it makes the shifted B the next order needs.
+    fwd = np.zeros((flen * m, m))
+    back = np.zeros((flen * m, m))
+    fwd[:m] = back[-m:] = np.eye(m)
+    covs = np.stack([lags[0], lags[0].T])  # forward, backward
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    inverses = _inverse_covariances(covs, energy)
+    if inverses is None:
+        return None
+    for n in range(1, flen):
+        delta = past[:, (flen - 1 - n) * m : (flen - 1) * m] @ fwd[: n * m]
+        alpha = -inverses[1] @ delta
+        beta = -inverses[0] @ delta.T
+        # A += (shifted B) alpha and B += A beta, both from the old values.
+        shifted = back[-(n + 1) * m :]
+        from_fwd = fwd[: (n + 1) * m] @ beta
+        fwd[: (n + 1) * m] += shifted @ alpha
+        shifted += from_fwd
+        covs[0] += delta.T @ alpha
+        covs[1] += delta @ beta
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        inverses = _inverse_covariances(covs, energy)
+        if inverses is None:
+            return None
+    return fwd.reshape(flen, m, m), back.reshape(flen, m, m), inverses
+
+
+def _apply_inverse(predictors, v: np.ndarray) -> np.ndarray:
+    """T^-1 v by the block Gohberg-Semencul formula.
+
+    T^-1 = L(A) V_f^-1 L(A)^T - L(B') V_b^-1 L(B')^T, with L(.) the lower
+    block-triangular Toeplitz matrix of a block column and
+    B' = [0, B[0], ..., B[L-2]].
+    """
+    a, b, inverses = predictors
+    b_shifted = np.concatenate([np.zeros_like(b[:1]), b[:-1]])
+    return _lower(a, inverses[0] @ _upper(a, v)) - _lower(
+        b_shifted, inverses[1] @ _upper(b_shifted, v)
+    )
+
+
+def _block_toeplitz_solve(lags: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve T x = rhs (both (L, m, r), delay-major) through the block predictors.
+
+    One step of iterative refinement follows the first solve.  Returns
+    None when the recursion breaks down or the refined solution misses
+    the normal equations by more than _RESIDUAL_TOL.
+    """
+    predictors = _levinson(lags)
+    if predictors is None:
+        return None
+    x = _apply_inverse(predictors, rhs)
+    x += _apply_inverse(predictors, rhs - _toeplitz_matvec(lags, x))
+    residual = rhs - _toeplitz_matvec(lags, x)
+    # Per right-hand side; the sum of absolute lag entries bounds |T|.
+    norm_t = np.sum(np.abs(lags[0])) + 2.0 * np.sum(np.abs(lags[1:]))
+    scale = norm_t * np.linalg.norm(x, axis=(0, 1)) + np.linalg.norm(rhs, axis=(0, 1))
+    if np.any(np.linalg.norm(residual, axis=(0, 1)) > _RESIDUAL_TOL * scale):
+        return None
+    return x
+
+
+def _full_length_lags(regs: np.ndarray, flen: int) -> np.ndarray:
+    """Lag blocks as the dense path has always built them: one circular
+    correlation per regressor pair over a power-of-two FFT.
+
+    The dense Gram keeps these exact bits.  On a numerically singular
+    Gram rounding decides whether Cholesky succeeds or the ridge runs,
+    and ulp-level changes there move scores by whole decibels.
+    """
+    m, n = regs.shape
+    nfft = 1 << (n + flen - 2).bit_length()
+    spectra = np.fft.rfft(regs, nfft, axis=-1)
+    lags = np.empty((flen, m, m))
+    for i in range(m):
+        for j in range(i, m):
+            corr = np.fft.irfft(spectra[i] * np.conj(spectra[j]), nfft)
+            lags[:, i, j] = corr[:flen]
+            lags[:, j, i] = np.concatenate(([corr[0]], corr[-1:-flen:-1]))
+    return lags
+
+
+def _gram(lags: np.ndarray) -> np.ndarray:
+    """Dense Gram matrix in regressor-major order from (L, m, m) lag blocks."""
+    flen, m, _ = lags.shape
+    gram = np.empty((m * flen, m * flen))
+    for i in range(m):
+        for j in range(i, m):
+            block = scipy.linalg.toeplitz(lags[:, j, i], lags[:, i, j])
+            gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
+            gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
+    return gram
+
+
+def _dense_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, str]:
+    """Cholesky solve of the normal equations, then ridge, then lstsq.
+
+    Returns the solution and which of "cholesky", "ridge" or "lstsq" ran.
+    """
+    try:
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), "cholesky"
+    except scipy.linalg.LinAlgError:
+        pass
+    ridge = 1e-10 * np.trace(gram) / gram.shape[0]
+    regularized = gram + ridge * np.eye(gram.shape[0])
+    try:
+        factor = scipy.linalg.cho_factor(regularized, lower=True, check_finite=False)
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), "ridge"
+    except scipy.linalg.LinAlgError:
+        return np.linalg.lstsq(regularized, rhs, rcond=None)[0], "lstsq"
+
+
+@dataclass(frozen=True, eq=False)
+class _WindowProjections:
+    """Both projections of each target's estimate in one window.
+
+    p_target and p_all have shape (targets, channels, N + L - 1).
+    all_path is "levinson" when the block-Toeplitz solve was accepted,
+    otherwise the dense path that ran; target_paths has one dense path
+    per target.
     """
 
-    def __init__(self, regressors: np.ndarray, filter_length: int):
-        regressors = np.atleast_2d(np.asarray(regressors, dtype=np.float64))
-        # Silent rows span nothing; dropping them keeps the Gram matrix
-        # from being structurally singular.
-        keep = [i for i in range(regressors.shape[0]) if np.any(regressors[i])]
-        self._regressors = regressors[keep]
-        self._flen = filter_length
-        self._n = regressors.shape[1]
-        self._out_len = self._n + filter_length - 1
-        self._nfft = _next_pow2(self._out_len)
-        self.used_ridge = False
+    p_target: np.ndarray
+    p_all: np.ndarray
+    all_path: str
+    target_paths: tuple[str, ...]
 
-        m = self._regressors.shape[0]
-        if m == 0:
-            self._solve = None
-            self._sf = None
-            return
-        flen = filter_length
-        self._sf = np.fft.rfft(self._regressors, self._nfft, axis=-1)
-        gram = np.empty((m * flen, m * flen))
-        for i in range(m):
-            for j in range(i, m):
-                corr = np.fft.irfft(self._sf[i] * np.conj(self._sf[j]), self._nfft)
-                block = scipy.linalg.toeplitz(
-                    np.concatenate(([corr[0]], corr[-1 : -flen : -1])), corr[:flen]
-                )
-                gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
-                if i != j:
-                    gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
-        self._solve = self._factor(gram)
+    def used_ridge(self, t: int) -> bool:
+        return self.all_path in ("ridge", "lstsq") or self.target_paths[t] != "cholesky"
 
-    def _factor(self, gram: np.ndarray):
-        try:
-            factor = scipy.linalg.cho_factor(gram, lower=True)
-            return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
-        except scipy.linalg.LinAlgError:
-            pass
-        self.used_ridge = True
-        ridge = 1e-10 * np.trace(gram) / gram.shape[0]
-        regularized = gram + ridge * np.eye(gram.shape[0])
-        try:
-            factor = scipy.linalg.cho_factor(regularized, lower=True)
-            return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
-        except scipy.linalg.LinAlgError:
-            return lambda rhs: np.linalg.lstsq(regularized, rhs, rcond=None)[0]
 
-    def project(self, estimate: np.ndarray) -> np.ndarray:
-        """Closest point to ``estimate`` in the filtered span, per channel.
+def _project_window(
+    refs: np.ndarray, ests: np.ndarray, targets: Sequence[int], filter_length: int
+) -> _WindowProjections:
+    """Least-squares projections onto L-tap filtered reference channels.
 
-        estimate has shape (channels, N); the result (channels, N + L - 1).
-        """
-        estimate = np.atleast_2d(np.asarray(estimate, dtype=np.float64))
-        if estimate.shape[1] != self._n:
-            raise InvalidInputError(
-                f"estimate length {estimate.shape[1]} does not match regressors ({self._n})"
-            )
-        n_channels = estimate.shape[0]
-        out = np.zeros((n_channels, self._out_len))
-        if self._solve is None:
-            return out
-        m, flen = self._regressors.shape[0], self._flen
-        ef = np.fft.rfft(estimate, self._nfft, axis=-1)
-        rhs = np.empty((m * flen, n_channels))
-        for i in range(m):
-            for c in range(n_channels):
-                corr = np.fft.irfft(self._sf[i] * np.conj(ef[c]), self._nfft)
-                rhs[i * flen : (i + 1) * flen, c] = np.concatenate(
-                    ([corr[0]], corr[-1 : -flen : -1])
-                )
-        coeffs = self._solve(rhs)
-        for i in range(m):
-            filters = coeffs[i * flen : (i + 1) * flen]
-            for c in range(n_channels):
-                out[c] += fftconvolve(filters[:, c], self._regressors[i])[: self._out_len]
-        return out
+    refs is (J, C, N); ests[t] (C, N) estimates refs[targets[t]].  Each
+    estimate is projected onto its target's channels and onto every
+    reference channel.  All Gram entries and right-hand sides come from
+    one set of lag correlations.
+    """
+    n_src, n_ch, n = refs.shape
+    flen = filter_length
+    n_out = len(targets) * n_ch
+    flat = refs.reshape(n_src * n_ch, n)
+    # Silent rows span nothing; dropping them keeps the Gram matrix from
+    # being structurally singular.
+    keep = np.flatnonzero(flat.any(axis=1))
+    regs = flat[keep]
+    m = keep.size
+    zeros = np.zeros((len(targets), n_ch, n + flen - 1))
+    if m == 0:
+        return _WindowProjections(zeros, zeros, "cholesky", ("cholesky",) * len(targets))
+    corr = _lag_correlations(np.concatenate([regs, ests.reshape(n_out, n)]), regs, flen)
+    auto = corr[:, :m]  # auto[k, i, j] = sum_t r_i[t + k] r_j[t]
+    cross = corr[:, m:].transpose(0, 2, 1)  # cross[k, i, c] = sum_t e_c[t + k] r_i[t]
+
+    coef = _block_toeplitz_solve(auto, cross)
+    all_path = "levinson"
+    if coef is None:
+        gram = _gram(_full_length_lags(regs, flen))
+        coef, all_path = _dense_solve(gram, cross.transpose(1, 0, 2).reshape(m * flen, n_out))
+        coef = coef.reshape(m, flen, n_out).transpose(1, 0, 2)
+    p_all = fftconvolve(coef.transpose(2, 1, 0), regs[np.newaxis], axes=-1).sum(axis=1)
+
+    p_target = zeros.copy()
+    target_paths = []
+    for t, j in enumerate(targets):
+        own = np.flatnonzero(keep // n_ch == j)
+        if own.size == 0:
+            target_paths.append("cholesky")
+            continue
+        channels = slice(t * n_ch, (t + 1) * n_ch)
+        rhs = cross[:, own, channels].transpose(1, 0, 2).reshape(own.size * flen, n_ch)
+        filt, path = _dense_solve(_gram(auto[:, own][:, :, own]), rhs)
+        target_paths.append(path)
+        filters = filt.reshape(own.size, flen, n_ch).transpose(2, 0, 1)
+        p_target[t] = fftconvolve(filters, regs[own][np.newaxis], axes=-1).sum(axis=1)
+    return _WindowProjections(
+        p_target, p_all.reshape(len(targets), n_ch, -1), all_path, tuple(target_paths)
+    )
 
 
 def _stacked(references: Sequence[AudioClip], estimate: AudioClip) -> np.ndarray:
@@ -186,33 +375,22 @@ def _stacked(references: Sequence[AudioClip], estimate: AudioClip) -> np.ndarray
 
 
 def _components(
-    refs: np.ndarray,
+    target: np.ndarray,
     estimate: np.ndarray,
-    target_index: int,
-    filter_length: int,
-    projector_all: _Projector | None = None,
+    p_target: np.ndarray,
+    p_all: np.ndarray,
+    used_ridge: bool,
 ) -> ErrorComponents:
-    n = refs.shape[-1]
-    total = n + filter_length - 1
-    target = refs[target_index]
-
-    projector_target = _Projector(target, filter_length)
-    if projector_all is None:
-        projector_all = _Projector(refs.reshape(-1, n), filter_length)
-
-    p_target = projector_target.project(estimate)
-    p_all = projector_all.project(estimate)
-
-    s_true = np.zeros((refs.shape[1], total))
+    n = target.shape[-1]
+    s_true = np.zeros_like(p_all)
     s_true[:, :n] = target
-    est_pad = np.zeros_like(s_true)
+    est_pad = np.zeros_like(p_all)
     est_pad[:, :n] = estimate
-
     return ErrorComponents(
         e_spat=p_target - s_true,
         e_interf=p_all - p_target,
         e_artif=est_pad - p_all,
-        used_ridge=projector_target.used_ridge or projector_all.used_ridge,
+        used_ridge=used_ridge,
     )
 
 
@@ -238,7 +416,10 @@ def decompose(
         raise InvalidInputError(f"target_index {target_index} out of range")
     if _mean_square(refs[target_index]) < config.silence_threshold:
         raise SilentReferenceError(f"reference {target_index} is silent in this window")
-    return _components(refs, estimate.samples, target_index, config.filter_length)
+    proj = _project_window(refs, estimate.samples[np.newaxis], [target_index], config.filter_length)
+    return _components(
+        refs[target_index], estimate.samples, proj.p_target[0], proj.p_all[0], proj.used_ridge(0)
+    )
 
 
 def _db_ratio(num: float, den: float, cap: float) -> float:
@@ -355,15 +536,38 @@ def _window_bounds(n_samples: int, sample_rate: int, config: MetricConfig) -> li
     return [(k * hop, k * hop + win) for k in range(n_windows)]
 
 
+@dataclass
+class ScoringReport:
+    """Deterministic accounting of one framewise_scores call.
+
+    silent_windows[j] counts the windows where stem j fell below the
+    silence threshold (its missing scores).  dense_fallback counts the
+    windows whose all-reference projection left the block-Toeplitz
+    solve; ridge and lstsq count the projections, all-reference or
+    target-only, that needed those last resorts.
+    """
+
+    windows: int = 0
+    windows_scored: int = 0
+    silent_windows: list[int] = field(default_factory=list)
+    tail_samples_unscored: int = 0
+    dense_fallback: int = 0
+    ridge: int = 0
+    lstsq: int = 0
+
+
 def framewise_scores(
     references: Sequence[AudioClip],
     estimates: Sequence[AudioClip],
     config: MetricConfig = MetricConfig(),
+    report: ScoringReport | None = None,
 ) -> list[FrameScores]:
     """All five metrics on every evaluation window, one FrameScores per stem.
 
     Windows where a stem's reference is silent are missing (NaN) for that
     stem.  references[j] and estimates[j] describe the same instrument.
+    A ``report``, when given, is filled with the window and solver
+    accounting of this call.
     """
     if len(references) != len(estimates):
         raise InvalidInputError(
@@ -381,24 +585,34 @@ def framewise_scores(
     columns: dict[str, np.ndarray] = {
         name: np.full((n_sources, len(bounds)), math.nan) for name in METRICS
     }
+    if report is None:
+        report = ScoringReport()
+    report.windows = len(bounds)
+    report.silent_windows = [0] * n_sources
+    report.tail_samples_unscored = first.n_samples - bounds[-1][1]
 
     for w, (start, stop) in enumerate(bounds):
         ref_windows = [ref.window(start, stop) for ref in references]
         est_windows = [est.window(start, stop) for est in estimates]
-        active = [
-            j
-            for j in range(n_sources)
-            if _mean_square(ref_windows[j].samples) >= config.silence_threshold
-        ]
+        active = []
+        for j in range(n_sources):
+            if _mean_square(ref_windows[j].samples) >= config.silence_threshold:
+                active.append(j)
+            else:
+                report.silent_windows[j] += 1
         if not active:
             continue
+        report.windows_scored += 1
         refs = np.stack([r.samples for r in ref_windows])
-        # The full-reference projector is shared by every target in this
-        # window; it dominates the cost at realistic filter lengths.
-        projector_all = _Projector(refs.reshape(-1, refs.shape[-1]), config.filter_length)
-        for j in active:
+        ests = np.stack([est_windows[j].samples for j in active])
+        proj = _project_window(refs, ests, active, config.filter_length)
+        paths = (proj.all_path,) + proj.target_paths
+        report.dense_fallback += proj.all_path != "levinson"
+        report.ridge += paths.count("ridge")
+        report.lstsq += paths.count("lstsq")
+        for t, j in enumerate(active):
             comp = _components(
-                refs, est_windows[j].samples, j, config.filter_length, projector_all
+                refs[j], ests[t], proj.p_target[t], proj.p_all[t], proj.used_ridge(t)
             )
             columns["si_sdr"][j, w] = si_sdr(est_windows[j], ref_windows[j], config.db_cap)
             columns["sdr"][j, w] = sdr(comp, ref_windows[j], config.db_cap)

@@ -1,0 +1,111 @@
+"""Cross-checks of the block-Toeplitz projection solver.
+
+The lag correlations are compared with direct sums, the block Levinson
+solve with a dense solve of the explicitly assembled Gram matrix, and
+whole windows at J=4, C=2, L=64 with the SVD projections of oracles.py.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from separability import AudioClip, MetricConfig, ScoringReport, framewise_scores
+from separability.metrics import _block_toeplitz_solve, _lag_correlations, _levinson
+from separability.synth import fixture_stem
+
+from oracles import dense_metrics
+
+
+def direct_lags(x: np.ndarray, y: np.ndarray, flen: int) -> np.ndarray:
+    """out[k, a, b] = sum_t x[a, t + k] y[b, t], one dot product per lag."""
+    n = x.shape[1]
+    return np.stack([x[:, k:] @ y[:, : n - k].T for k in range(flen)])
+
+
+def assembled_gram(lags: np.ndarray) -> np.ndarray:
+    """Delay-major Gram matrix, block (p, q) = lags[q - p], lags[-k] = lags[k].T."""
+    flen, m, _ = lags.shape
+    gram = np.empty((flen * m, flen * m))
+    for p in range(flen):
+        for q in range(flen):
+            block = lags[q - p] if q >= p else lags[p - q].T
+            gram[p * m : (p + 1) * m, q * m : (q + 1) * m] = block
+    return gram
+
+
+def correlated_signals(gen, m: int, n: int) -> np.ndarray:
+    """Smoothed noise with some leakage between rows: a realistic, PD Gram."""
+    x = gen.normal(size=(m, n))
+    x[:, 1:] += 0.6 * x[:, :-1]
+    if m > 1:
+        x[1:] += 0.4 * x[:-1]
+    return x
+
+
+@pytest.mark.parametrize("flen", [1, 2, 7, 64, 300])
+@pytest.mark.parametrize("n", [50, 1000])
+def test_lag_correlations_match_direct_sums(flen, n):
+    gen = np.random.Generator(np.random.PCG64(flen * 1000 + n))
+    x = gen.normal(size=(5, n))
+    y = gen.normal(size=(3, n))
+    got = _lag_correlations(x, y, flen)
+    want = direct_lags(x, y, min(flen, n))
+    assert got.shape == (flen, 5, 3)
+    assert np.max(np.abs(got[: want.shape[0]] - want)) < 1e-12 * n
+    assert np.max(np.abs(got[want.shape[0] :]), initial=0.0) < 1e-12 * n
+
+
+@pytest.mark.parametrize("flen", [1, 2, 7, 64])
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_solve_matches_dense_solve(m, flen):
+    gen = np.random.Generator(np.random.PCG64(10 * m + flen))
+    x = correlated_signals(gen, m, 2000)
+    lags = direct_lags(x, x, flen)
+    rhs = gen.normal(size=(flen, m, 3))
+    got = _block_toeplitz_solve(lags, rhs)
+    assert got is not None
+    want = scipy.linalg.solve(assembled_gram(lags), rhs.reshape(flen * m, 3), assume_a="pos")
+    want = want.reshape(flen, m, 3)
+    assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+
+def test_singular_gram_takes_dense_fallback():
+    gen = np.random.Generator(np.random.PCG64(7))
+    base = gen.normal(size=(1, 2000))
+    x = np.concatenate([base, base, gen.normal(size=(1, 2000))])
+    lags = direct_lags(x, x, 4)
+    assert _levinson(lags) is None
+    assert _block_toeplitz_solve(lags, gen.normal(size=(4, 3, 2))) is None
+
+    # Through framewise_scores: the all-reference projection leaves the
+    # block-Toeplitz path and the dense Cholesky needs its ridge.
+    refs = [AudioClip(base, 44100), AudioClip(base.copy(), 44100)]
+    ests = [AudioClip(base + gen.normal(0.0, 0.1, base.shape), 44100) for _ in refs]
+    report = ScoringReport()
+    frames = framewise_scores(refs, ests, MetricConfig(filter_length=4), report)
+    assert frames[0].n_windows == 1
+    assert (report.dense_fallback, report.ridge, report.lstsq) == (1, 1, 0)
+
+
+def test_framewise_scores_match_dense_oracle_at_four_stereo_stems():
+    rate, flen, n_src = 4000, 64, 4
+    gen = np.random.Generator(np.random.PCG64(21))
+    refs = np.stack(
+        [fixture_stem(gen, 0, j, rate, sample_rate=rate).samples for j in range(n_src)]
+    )
+    ests = np.empty_like(refs)
+    for j in range(n_src):
+        ests[j] = 0.8 * refs[j] + 0.2 * refs[(j + 1) % n_src] + gen.normal(0.0, 0.02, refs[j].shape)
+        ests[j][:, 3:] += 0.1 * refs[j][:, :-3]
+    report = ScoringReport()
+    frames = framewise_scores(
+        [AudioClip(r, rate) for r in refs],
+        [AudioClip(e, rate) for e in ests],
+        MetricConfig(filter_length=flen),
+        report,
+    )
+    assert report.windows_scored == 1 and report.dense_fallback == 0
+    for j in range(n_src):
+        want = dense_metrics(refs, ests[j], j, flen)
+        for name, value in want.items():
+            assert abs(frames[j].values(name)[0] - value) < 1e-6, (j, name)

@@ -8,7 +8,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from separability import ScoreTable
 from separability.cli import DEFAULT_RATIOS, main
@@ -97,6 +99,17 @@ def test_analyze_logs_report_success(analyze_run):
     assert set(payload["scores"]) == {"bass", "drums", "vocals"}
 
 
+def test_analyze_logs_count_windows_and_solver_fallbacks(analyze_run):
+    _, out_dir = analyze_run
+    payload = json.loads((out_dir / "logs" / "song00.json").read_text())
+    # 2.5 s songs in 1 s windows at a 1 s hop: two windows, 0.5 s never scored.
+    assert payload["n_windows"] == 2
+    assert payload["windows_scored"] == 2
+    assert payload["silent_windows"] == {"bass": 0, "drums": 0, "vocals": 0}
+    assert payload["tail_samples_unscored"] == 22050
+    assert payload["solver_fallbacks"] == {"dense": 0, "ridge": 0, "lstsq": 0}
+
+
 def test_analyze_metadata_records_dsp_but_not_run_shape(analyze_run):
     # Worker count and output path must stay out of the files so reruns
     # with different parallelism stay byte-identical.
@@ -164,6 +177,25 @@ def test_analyze_broken_song_fails_softly(tmp_path, capsys):
     assert log["status"] == "error"
     assert "DatasetError" in log["error"]
     assert log["scores"] == {}
+
+
+def test_analyze_rejects_non_finite_samples(tmp_path, capsys):
+    root = tmp_path / "nan"
+    write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, n_channels=1)
+    path = root / "song01" / "drums.wav"
+    rate, data = scipy.io.wavfile.read(path)
+    data[100] = np.nan
+    scipy.io.wavfile.write(path, rate, data)
+
+    out_dir = tmp_path / "out"
+    code = main(["analyze", "--dataset", str(root), "--out", str(out_dir)] + FAST_FLAGS)
+    assert code == 1
+    assert "failed: song01" in capsys.readouterr().err
+    table = ScoreTable.from_csv((out_dir / "scores.csv").read_text())
+    assert table.song_ids() == ("song00",)
+    log = json.loads((out_dir / "logs" / "song01.json").read_text())
+    assert log["status"] == "error"
+    assert "InvalidInputError" in log["error"]
 
 
 def test_analyze_without_dataset_or_manifest_is_a_usage_error(capsys):

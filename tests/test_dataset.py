@@ -6,6 +6,7 @@ from separability import (
     AlignmentError,
     AudioClip,
     DatasetError,
+    InvalidInputError,
     MissingStemError,
     MultitrackSong,
     load_manifest,
@@ -21,6 +22,14 @@ SR = 44100
 
 def _clip(gen, n=2000, ch=2, scale=0.4):
     return AudioClip(gen.normal(0.0, scale, (ch, n)), SR)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_audio_clip_rejects_non_finite_samples(bad):
+    samples = np.zeros((2, 100))
+    samples[1, 17] = bad
+    with pytest.raises(InvalidInputError):
+        AudioClip(samples, SR)
 
 
 def _write_song(root, song_id, stems):
