@@ -91,14 +91,24 @@ def _load_table(path: Path) -> ScoreTable:
 
 
 def _resolve_dsp(args) -> tuple[StftConfig, OracleConfig, MetricConfig]:
-    window_size = _resolve(getattr(args, "window_size", None), "WINDOW_SIZE", int, 4096)
-    hop = _resolve(getattr(args, "hop", None), "HOP", int, 1024)
-    window_kind = _resolve(getattr(args, "window_kind", None), "WINDOW_KIND", str, "hann")
-    alpha = _resolve(getattr(args, "alpha", None), "ALPHA", float, 2.0)
-    zero_bin = _resolve(
-        getattr(args, "zero_bin_policy", None), "ZERO_BIN_POLICY", str, "uniform"
+    stft_default, oracle_default, metric_default = StftConfig(), OracleConfig(), MetricConfig()
+    window_size = _resolve(
+        getattr(args, "window_size", None), "WINDOW_SIZE", int, stft_default.window_size
     )
-    filter_len = _resolve(getattr(args, "filter_len", None), "FILTER_LEN", int, 512)
+    hop = _resolve(getattr(args, "hop", None), "HOP", int, stft_default.hop_size)
+    window_kind = _resolve(
+        getattr(args, "window_kind", None), "WINDOW_KIND", str, stft_default.window_kind
+    )
+    alpha = _resolve(getattr(args, "alpha", None), "ALPHA", float, oracle_default.alpha)
+    zero_bin = _resolve(
+        getattr(args, "zero_bin_policy", None),
+        "ZERO_BIN_POLICY",
+        str,
+        oracle_default.zero_bin_policy,
+    )
+    filter_len = _resolve(
+        getattr(args, "filter_len", None), "FILTER_LEN", int, metric_default.filter_length
+    )
     fast = _resolve(
         True if getattr(args, "fast_metrics", False) else None,
         "FAST_METRICS",

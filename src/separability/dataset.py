@@ -167,9 +167,12 @@ def make_mixture(song: MultitrackSong) -> MultitrackSong:
     float, so separation sees exactly the sum of what it is asked to
     recover.
     """
-    stacked = np.stack([clip.samples for clip in song.stems.values()])
-    mixture = AudioClip(stacked.sum(axis=0), next(iter(song.stems.values())).sample_rate)
-    return MultitrackSong(song.song_id, dict(song.stems), mixture)
+    clips = iter(song.stems.values())
+    first = next(clips)
+    total = first.samples.copy()
+    for clip in clips:
+        total += clip.samples
+    return MultitrackSong(song.song_id, dict(song.stems), AudioClip(total, first.sample_rate))
 
 
 @dataclass(frozen=True)

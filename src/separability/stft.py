@@ -96,9 +96,6 @@ class Spectrogram:
     def n_bins(self) -> int:
         return self.bins.shape[2]
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.bins)
-
 
 @dataclass(frozen=True)
 class ColaReport:
@@ -159,21 +156,36 @@ def _require_cola(config: StftConfig) -> None:
         )
 
 
-def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Center padding by reflection, degrading to zeros for very short input."""
-    if pad == 0:
-        return x
-    n = x.shape[-1]
+def _padded_segment(samples: np.ndarray, start: int, stop: int, pad: int) -> np.ndarray:
+    """Samples [start, stop) of the signal the forward transform frames.
+
+    That signal is ``samples`` center-padded by ``pad`` samples at each
+    end, by reflection degrading to zeros for very short input, then
+    zero-extended.  Only the part of [start, stop) that lies outside the
+    samples is built; a range inside them comes back as a view.
+    """
+    n = samples.shape[-1]
+    lo, hi = start - pad, stop - pad
+    if 0 <= lo and hi <= n:
+        return samples[:, lo:hi]
+    out = np.zeros((samples.shape[0], hi - lo))
+    a, b = max(lo, 0), min(hi, n)
+    if a < b:
+        out[:, a - lo : b - lo] = samples[:, a:b]
     k = min(pad, n - 1)
-    if k > 0:
-        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(k, k)], mode="reflect")
-    if k < pad:
-        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad - k, pad - k)], mode="constant")
-    return x
+    # Index i < 0 mirrors sample -i; index i >= n mirrors sample 2(n - 1) - i.
+    a, b = max(lo, -k), min(hi, 0)
+    if a < b:
+        out[:, a - lo : b - lo] = samples[:, 1 - b : 1 - a][:, ::-1]
+    a, b = max(lo, n), min(hi, n + k)
+    if a < b:
+        out[:, a - lo : b - lo] = samples[:, 2 * n - 1 - b : 2 * n - 1 - a][:, ::-1]
+    return out
 
 
-def _frame_count(padded_length: int, config: StftConfig) -> int:
-    reach = max(padded_length - config.window_size, 0)
+def _frame_count(n_samples: int, config: StftConfig) -> int:
+    """Frames the forward transform takes from ``n_samples`` of input."""
+    reach = max(n_samples + 2 * config.pad - config.window_size, 0)
     return -(-reach // config.hop_size) + 1
 
 
@@ -193,11 +205,8 @@ def stft(clip: AudioClip, config: StftConfig = StftConfig()) -> Spectrogram:
 
     win = window_values(config)
     ws, hop = config.window_size, config.hop_size
-    x = _reflect_pad(clip.samples, config.pad)
-    n_frames = _frame_count(x.shape[-1], config)
-    total = (n_frames - 1) * hop + ws
-    if total > x.shape[-1]:
-        x = np.pad(x, [(0, 0), (0, total - x.shape[-1])], mode="constant")
+    n_frames = _frame_count(clip.n_samples, config)
+    x = _padded_segment(clip.samples, 0, (n_frames - 1) * hop + ws, config.pad)
     frames = np.lib.stride_tricks.sliding_window_view(x, ws, axis=-1)[:, ::hop, :]
     bins = np.fft.rfft(frames * win, axis=-1)
     return Spectrogram(bins, config, clip.n_samples, clip.sample_rate)
@@ -227,7 +236,8 @@ def istft(spec: Spectrogram, target_length: int | None = None) -> AudioClip:
             f"representable by {n_frames} frames"
         )
 
-    frames = np.fft.irfft(spec.bins, n=ws, axis=-1) * win
+    frames = np.fft.irfft(spec.bins, n=ws, axis=-1)
+    frames *= win
     out = np.zeros((n_channels, total))
     wsq = np.zeros(total)
     wsq_frame = win**2
@@ -238,7 +248,7 @@ def istft(spec: Spectrogram, target_length: int | None = None) -> AudioClip:
     # Per-sample normalization by the squared-window sum; samples with no
     # effective window coverage are zeroed rather than amplified.
     covered = wsq > wsq.max() * 1e-12
-    out[:, covered] /= wsq[covered]
+    np.divide(out, wsq, out=out, where=covered)
     out[:, ~covered] = 0.0
     start = config.pad
     return AudioClip(out[:, start : start + target_length], spec.sample_rate)

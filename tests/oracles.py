@@ -4,12 +4,16 @@ Everything here is deliberately brute force and shares no code with the
 library: projections build the explicit delayed-copy matrix and go
 through an SVD least-squares solve, correlations use the direct-formula
 definitions, ranks are assigned by counting.  Slow is fine; different is
-the point.
+the point.  The exception is ``whole_song_oracle_separate``, which pins
+how the oracle is blocked rather than the transforms it uses, and so
+calls the package's own STFT, masks and inverse on the whole song.
 """
 
 import math
 
 import numpy as np
+
+from separability import OracleConfig, StftConfig, apply_masks, compute_irm, istft, stft
 
 
 def delayed_matrix(regressors: np.ndarray, flen: int) -> np.ndarray:
@@ -100,3 +104,13 @@ def counting_ranks(values) -> list:
 
 def direct_spearman(x, y) -> float:
     return direct_pearson(counting_ranks(x), counting_ranks(y))
+
+
+def whole_song_oracle_separate(
+    mixture, stems, stft_config=StftConfig(), oracle_config=OracleConfig(), source_ids=None
+):
+    """The oracle in one pass: whole-song spectrograms, masks and inverse."""
+    mix_spec = stft(mixture, stft_config)
+    stem_specs = [stft(s, stft_config) for s in stems]
+    mask_set = compute_irm(stem_specs, oracle_config, source_ids)
+    return [istft(spec) for spec in apply_masks(mask_set, mix_spec)]
