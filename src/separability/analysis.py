@@ -24,7 +24,7 @@ from .audio import AudioClip
 from .dataset import DatasetManifest, MultitrackSong
 from .errors import InvalidInputError, UndefinedCorrelationError
 from .metrics import METRICS
-from .scores import FORMAT_VERSION, ScoreTable, format_score
+from .scores import FORMAT_VERSION, ScoreTable, format_score, json_value
 
 GENERATOR_ID = "pcg64"
 
@@ -256,11 +256,7 @@ class CorrelationGrid:
     def to_json(self, metadata: Mapping[str, str] | None = None) -> str:
         def block(cells: Mapping[tuple[str, str], float]):
             return {
-                instrument: {
-                    m: (None if math.isnan(cells[(instrument, m)]) else float(
-                        format_score(cells[(instrument, m)])) + 0.0)
-                    for m in METRICS
-                }
+                instrument: {m: json_value(cells[(instrument, m)]) for m in METRICS}
                 for instrument in self.instruments
             }
 

@@ -68,4 +68,10 @@ class AudioClip:
             raise InvalidInputError(
                 f"window [{start}, {stop}) outside clip of {self.n_samples} samples"
             )
-        return AudioClip(self.samples[:, start:stop], self.sample_rate)
+        # A slice of a validated clip needs no second validation.
+        clip = object.__new__(AudioClip)
+        samples = self.samples[:, start:stop].copy()
+        samples.setflags(write=False)
+        object.__setattr__(clip, "samples", samples)
+        object.__setattr__(clip, "sample_rate", self.sample_rate)
+        return clip

@@ -35,7 +35,7 @@ from .dataset import load_manifest, load_song, make_mixture, normalize_loudness
 from .errors import SeparabilityError
 from .irm import ZERO_BIN_POLICIES, OracleConfig, oracle_separate
 from .metrics import METRICS, MetricConfig, ScoringReport, aggregate_song, framewise_scores
-from .scores import FORMAT_VERSION, ScoreTable, aggregate_dataset, summary_to_csv
+from .scores import FORMAT_VERSION, ScoreTable, aggregate_dataset, json_value, summary_to_csv
 from .stft import WINDOW_KINDS, StftConfig, check_cola
 
 ENV_PREFIX = "SEPARABILITY_"
@@ -64,12 +64,6 @@ def _resolve(flag_value, env_name: str, cast, default):
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise SeparabilityError(f"bad value for {ENV_PREFIX}{env_name}: {exc}") from None
-
-
-def _json_score(value: float):
-    if math.isnan(value):
-        return None
-    return float(format(value, ".6f")) + 0.0
 
 
 def _write_text(path: Path | None, text: str) -> None:
@@ -291,7 +285,7 @@ def cmd_analyze(args) -> int:
                 "format_version": FORMAT_VERSION,
                 "config": {k: v for k, v in metadata.items() if k != "format_version"},
                 "summary": {
-                    inst: {m: _json_score(values[m]) for m in METRICS}
+                    inst: {m: json_value(values[m]) for m in METRICS}
                     for inst, values in summary.items()
                 },
             },
@@ -313,7 +307,7 @@ def cmd_analyze(args) -> int:
             "n_windows": result["n_windows"],
             **result["accounting"],
             "scores": {
-                inst: {m: _json_score(values[m]) for m in METRICS}
+                inst: {m: json_value(values[m]) for m in METRICS}
                 for inst, values in result["scores"].items()
             },
         }

@@ -41,16 +41,12 @@ def read_wav(path: Path | str, expected_rate: int = SAMPLE_RATE) -> AudioClip:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if expected_rate is not None and rate != expected_rate:
         raise DatasetError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
-    if data.dtype in _PCM_SCALES:
-        samples = data.astype(np.float64) / _PCM_SCALES[data.dtype]
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
+    if data.dtype not in _PCM_SCALES and data.dtype not in (np.float32, np.float64):
         raise DatasetError(f"{path}: unsupported sample format {data.dtype}")
-    if samples.ndim == 1:
-        samples = samples[np.newaxis, :]
-    else:
-        samples = samples.T
+    # One float64 copy, channels first and contiguous, which AudioClip keeps.
+    samples = np.ascontiguousarray(data.T, dtype=np.float64)
+    if data.dtype in _PCM_SCALES:
+        samples /= _PCM_SCALES[data.dtype]
     return AudioClip(samples, int(rate))
 
 

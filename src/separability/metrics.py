@@ -88,9 +88,15 @@ def _mean_square(x: np.ndarray) -> float:
     return float(np.mean(x**2)) if x.size else 0.0
 
 
-# Shortest block of the lag-correlation FFTs.  Blocks also span at least
-# the filter length, so a lag below L only reaches into the next block;
-# at short filters longer blocks amortize the per-block overhead.
+# Filters of at most this many taps take the direct paths of the lag
+# correlations and the projection synthesis: one matrix product per lag
+# or tap.  Longer ones take block FFTs, whose cost grows far slower with
+# L; at J=4, C=2 and 1-second windows the two cross near L = 24-32.
+_DIRECT_MAX_LAG = 24
+
+# Shortest block of the block FFTs.  Blocks also span at least the
+# filter length, so a lag below L only reaches into the next block; at
+# short filters longer blocks amortize the per-block overhead.
 _MIN_BLOCK = 256
 
 # A prediction-error covariance of the block-Toeplitz recursion counts as
@@ -107,11 +113,17 @@ _RESIDUAL_TOL = 1e-12
 def _lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     """out[k, a, b] = sum_t x[a, t + k] * y[b, t] for 0 <= k < max_lag.
 
-    Signals are zero past their end.  Both are cut into blocks of B >=
-    max_lag samples; y's block b only meets x's blocks b and b + 1 at
-    those lags, so every pair costs a sum of 2B-point spectra.
+    Signals are zero past their end.  Up to _DIRECT_MAX_LAG lags each is
+    one matrix product.  Beyond, both signals are cut into blocks of
+    B >= max_lag samples; y's block b only meets x's blocks b and b + 1
+    at those lags, so every pair costs a sum of 2B-point spectra.
     """
     n = x.shape[-1]
+    if max_lag <= _DIRECT_MAX_LAG:
+        out = np.zeros((max_lag, x.shape[0], y.shape[0]))
+        for k in range(min(max_lag, n)):
+            out[k] = x[:, k:] @ y[:, : n - k].T
+        return out
     block = max(max_lag, _MIN_BLOCK)
     n_blocks = -(-n // block)
 
@@ -128,6 +140,37 @@ def _lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     segments = fx[:, :-1] + sign * fx[:, 1:]
     cross = np.matmul(segments.transpose(2, 0, 1), fy.conj().transpose(2, 1, 0))
     return np.fft.irfft(cross, 2 * block, axis=0)[:max_lag]
+
+
+def _synthesize(coef: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """out[c, t] = sum_(k, i) coef[k, i, c] regs[i, t - k] for 0 <= t < n + L - 1.
+
+    coef is (L, m, r) and regs (m, n): r outputs, each a sum of L-tap
+    filtered regressors.  Up to _DIRECT_MAX_LAG taps each tap is one
+    matrix product.  Beyond, overlap-add over blocks of B = max(L, 256)
+    samples at 2B points, summing over regressors in the frequency
+    domain, so only r inverse transforms per block remain.
+    """
+    flen, m, n_out = coef.shape
+    n = regs.shape[-1]
+    if flen <= _DIRECT_MAX_LAG:
+        out = np.zeros((n_out, n + flen - 1))
+        for k in range(flen):
+            out[:, k : k + n] += coef[k].T @ regs
+        return out
+    block = max(flen, _MIN_BLOCK)
+    n_blocks = -(-n // block)
+    padded = np.zeros((m, n_blocks * block))
+    padded[:, :n] = regs
+    spectra = np.fft.rfft(padded.reshape(m, n_blocks, block), 2 * block)
+    filters = np.fft.rfft(coef, 2 * block, axis=0)
+    # (f, block, r) -> (r, block, 2B): each block's filtered sum, at most
+    # B + L - 1 <= 2B - 1 samples long, so the 2B-point product is linear.
+    segments = np.fft.irfft((spectra.transpose(2, 1, 0) @ filters).transpose(2, 1, 0), 2 * block)
+    out = np.zeros((n_out, n_blocks + 1, block))
+    out[:, :-1] += segments[..., :block]
+    out[:, 1:] += segments[..., block:]
+    return out.reshape(n_out, -1)[:, : n + flen - 1]
 
 
 def _lower(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -345,7 +388,7 @@ def _project_window(
         gram = _gram(_full_length_lags(regs, flen))
         coef, all_path = _dense_solve(gram, cross.transpose(1, 0, 2).reshape(m * flen, n_out))
         coef = coef.reshape(m, flen, n_out).transpose(1, 0, 2)
-    p_all = fftconvolve(coef.transpose(2, 1, 0), regs[np.newaxis], axes=-1).sum(axis=1)
+    p_all = _synthesize(coef, regs)
 
     p_target = zeros.copy()
     target_paths = []
@@ -374,18 +417,21 @@ def _stacked(references: Sequence[AudioClip], estimate: AudioClip) -> np.ndarray
     return np.stack([ref.samples for ref in references])
 
 
+def _zero_padded(x: np.ndarray, length: int) -> np.ndarray:
+    out = np.zeros((x.shape[0], length))
+    out[:, : x.shape[1]] = x
+    return out
+
+
 def _components(
-    target: np.ndarray,
+    s_true: np.ndarray,
     estimate: np.ndarray,
     p_target: np.ndarray,
     p_all: np.ndarray,
     used_ridge: bool,
 ) -> ErrorComponents:
-    n = target.shape[-1]
-    s_true = np.zeros_like(p_all)
-    s_true[:, :n] = target
-    est_pad = np.zeros_like(p_all)
-    est_pad[:, :n] = estimate
+    """The split of one estimate; s_true is its target zero-padded like p_all."""
+    est_pad = _zero_padded(estimate, p_all.shape[-1])
     return ErrorComponents(
         e_spat=p_target - s_true,
         e_interf=p_all - p_target,
@@ -417,8 +463,9 @@ def decompose(
     if _mean_square(refs[target_index]) < config.silence_threshold:
         raise SilentReferenceError(f"reference {target_index} is silent in this window")
     proj = _project_window(refs, estimate.samples[np.newaxis], [target_index], config.filter_length)
+    s_true = _zero_padded(refs[target_index], proj.p_all.shape[-1])
     return _components(
-        refs[target_index], estimate.samples, proj.p_target[0], proj.p_all[0], proj.used_ridge(0)
+        s_true, estimate.samples, proj.p_target[0], proj.p_all[0], proj.used_ridge(0)
     )
 
 
@@ -434,48 +481,46 @@ def _padded_target(components: ErrorComponents, reference: AudioClip) -> np.ndar
     total = components.e_spat.shape[-1]
     if reference.n_channels != components.e_spat.shape[0] or reference.n_samples > total:
         raise InvalidInputError("reference does not match the decomposition domain")
-    s = np.zeros_like(components.e_spat)
-    s[:, : reference.n_samples] = reference.samples
-    return s
+    return _zero_padded(reference.samples, total)
 
 
 def _energy(x: np.ndarray) -> float:
     return float(np.sum(x**2))
 
 
+def _ratio(metric: str, s: np.ndarray, components: ErrorComponents, db_cap: float) -> float:
+    """SDR, ISR, SIR or SAR in dB against the zero-padded target s; NaN if s is silent."""
+    target = _energy(s)
+    if target == 0.0:
+        return math.nan
+    if metric == "sdr":
+        return _db_ratio(target, _energy(components.total_error), db_cap)
+    if metric == "isr":
+        return _db_ratio(target, _energy(components.e_spat), db_cap)
+    if metric == "sir":
+        return _db_ratio(_energy(s + components.e_spat), _energy(components.e_interf), db_cap)
+    num = _energy(s + components.e_spat + components.e_interf)
+    return _db_ratio(num, _energy(components.e_artif), db_cap)
+
+
 def sdr(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
     """Ratio of target energy to total error energy, in dB."""
-    s = _padded_target(components, reference)
-    num = _energy(s)
-    if num == 0.0:
-        return math.nan
-    return _db_ratio(num, _energy(components.total_error), db_cap)
+    return _ratio("sdr", _padded_target(components, reference), components, db_cap)
 
 
 def isr(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
     """Ratio of target energy to spatial-distortion energy, in dB."""
-    s = _padded_target(components, reference)
-    num = _energy(s)
-    if num == 0.0:
-        return math.nan
-    return _db_ratio(num, _energy(components.e_spat), db_cap)
+    return _ratio("isr", _padded_target(components, reference), components, db_cap)
 
 
 def sir(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
     """Ratio of spatially-distorted target energy to interference energy, in dB."""
-    s = _padded_target(components, reference)
-    if _energy(s) == 0.0:
-        return math.nan
-    return _db_ratio(_energy(s + components.e_spat), _energy(components.e_interf), db_cap)
+    return _ratio("sir", _padded_target(components, reference), components, db_cap)
 
 
 def sar(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
     """Ratio of artifact-free estimate energy to artifact energy, in dB."""
-    s = _padded_target(components, reference)
-    if _energy(s) == 0.0:
-        return math.nan
-    num = _energy(s + components.e_spat + components.e_interf)
-    return _db_ratio(num, _energy(components.e_artif), db_cap)
+    return _ratio("sar", _padded_target(components, reference), components, db_cap)
 
 
 def si_sdr(estimate: AudioClip, reference: AudioClip, db_cap: float = 300.0) -> float:
@@ -593,7 +638,6 @@ def framewise_scores(
 
     for w, (start, stop) in enumerate(bounds):
         ref_windows = [ref.window(start, stop) for ref in references]
-        est_windows = [est.window(start, stop) for est in estimates]
         active = []
         for j in range(n_sources):
             if _mean_square(ref_windows[j].samples) >= config.silence_threshold:
@@ -604,6 +648,7 @@ def framewise_scores(
             continue
         report.windows_scored += 1
         refs = np.stack([r.samples for r in ref_windows])
+        est_windows = {j: estimates[j].window(start, stop) for j in active}
         ests = np.stack([est_windows[j].samples for j in active])
         proj = _project_window(refs, ests, active, config.filter_length)
         paths = (proj.all_path,) + proj.target_paths
@@ -611,14 +656,13 @@ def framewise_scores(
         report.ridge += paths.count("ridge")
         report.lstsq += paths.count("lstsq")
         for t, j in enumerate(active):
+            s_true = _zero_padded(refs[j], proj.p_all.shape[-1])
             comp = _components(
-                refs[j], ests[t], proj.p_target[t], proj.p_all[t], proj.used_ridge(t)
+                s_true, ests[t], proj.p_target[t], proj.p_all[t], proj.used_ridge(t)
             )
             columns["si_sdr"][j, w] = si_sdr(est_windows[j], ref_windows[j], config.db_cap)
-            columns["sdr"][j, w] = sdr(comp, ref_windows[j], config.db_cap)
-            columns["sir"][j, w] = sir(comp, ref_windows[j], config.db_cap)
-            columns["isr"][j, w] = isr(comp, ref_windows[j], config.db_cap)
-            columns["sar"][j, w] = sar(comp, ref_windows[j], config.db_cap)
+            for name in ("sdr", "sir", "isr", "sar"):
+                columns[name][j, w] = _ratio(name, s_true, comp, config.db_cap)
 
     return [
         FrameScores(**{name: columns[name][j] for name in METRICS})

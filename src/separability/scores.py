@@ -31,7 +31,8 @@ def format_score(value: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _json_value(value: float):
+def json_value(value: float):
+    """A score as a six-decimal JSON number; None for missing."""
     if math.isnan(value):
         return None
     return float(format_score(value)) + 0.0
@@ -134,7 +135,7 @@ class ScoreTable:
                 {
                     "song_id": song_id,
                     "instrument": instrument,
-                    **{m: _json_value(values[m]) for m in METRICS},
+                    **{m: json_value(values[m]) for m in METRICS},
                 }
                 for song_id, instrument, values in self.rows()
             ],

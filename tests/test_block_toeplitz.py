@@ -1,16 +1,25 @@
 """Cross-checks of the block-Toeplitz projection solver.
 
-The lag correlations are compared with direct sums, the block Levinson
-solve with a dense solve of the explicitly assembled Gram matrix, and
-whole windows at J=4, C=2, L=64 with the SVD projections of oracles.py.
+The lag correlations are compared with direct sums, the projection
+synthesis with scipy's fftconvolve, the block Levinson solve with a
+dense solve of the explicitly assembled Gram matrix, and whole windows
+at J=4, C=2 with the SVD projections of oracles.py.  Filter lengths on
+both sides of _DIRECT_MAX_LAG cover the direct and the FFT paths.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.signal import fftconvolve
 
 from separability import AudioClip, MetricConfig, ScoringReport, framewise_scores
-from separability.metrics import _block_toeplitz_solve, _lag_correlations, _levinson
+from separability.metrics import (
+    _DIRECT_MAX_LAG,
+    _block_toeplitz_solve,
+    _lag_correlations,
+    _levinson,
+    _synthesize,
+)
 from separability.synth import fixture_stem
 
 from oracles import dense_metrics
@@ -42,8 +51,8 @@ def correlated_signals(gen, m: int, n: int) -> np.ndarray:
     return x
 
 
-@pytest.mark.parametrize("flen", [1, 2, 7, 64, 300])
-@pytest.mark.parametrize("n", [50, 1000])
+@pytest.mark.parametrize("flen", [1, 2, 7, _DIRECT_MAX_LAG, _DIRECT_MAX_LAG + 1, 64, 300])
+@pytest.mark.parametrize("n", [20, 50, 1000])
 def test_lag_correlations_match_direct_sums(flen, n):
     gen = np.random.Generator(np.random.PCG64(flen * 1000 + n))
     x = gen.normal(size=(5, n))
@@ -53,6 +62,18 @@ def test_lag_correlations_match_direct_sums(flen, n):
     assert got.shape == (flen, 5, 3)
     assert np.max(np.abs(got[: want.shape[0]] - want)) < 1e-12 * n
     assert np.max(np.abs(got[want.shape[0] :]), initial=0.0) < 1e-12 * n
+
+
+@pytest.mark.parametrize("flen", [1, 2, _DIRECT_MAX_LAG, _DIRECT_MAX_LAG + 1, 64, 512])
+@pytest.mark.parametrize("n", [1, 300, 1000, 1537])
+def test_synthesis_matches_fftconvolve(flen, n):
+    gen = np.random.Generator(np.random.PCG64(flen * 10000 + n))
+    coef = gen.normal(size=(flen, 5, 3))
+    regs = gen.normal(size=(5, n))
+    got = _synthesize(coef, regs)
+    want = fftconvolve(coef.transpose(2, 1, 0), regs[np.newaxis], axes=-1).sum(axis=1)
+    assert got.shape == want.shape == (3, n + flen - 1)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.sqrt(flen * n)
 
 
 @pytest.mark.parametrize("flen", [1, 2, 7, 64])
@@ -88,7 +109,7 @@ def test_singular_gram_takes_dense_fallback():
 
 
 def test_framewise_scores_match_dense_oracle_at_four_stereo_stems():
-    rate, flen, n_src = 4000, 64, 4
+    rate, n_src = 4000, 4
     gen = np.random.Generator(np.random.PCG64(21))
     refs = np.stack(
         [fixture_stem(gen, 0, j, rate, sample_rate=rate).samples for j in range(n_src)]
@@ -97,15 +118,17 @@ def test_framewise_scores_match_dense_oracle_at_four_stereo_stems():
     for j in range(n_src):
         ests[j] = 0.8 * refs[j] + 0.2 * refs[(j + 1) % n_src] + gen.normal(0.0, 0.02, refs[j].shape)
         ests[j][:, 3:] += 0.1 * refs[j][:, :-3]
-    report = ScoringReport()
-    frames = framewise_scores(
-        [AudioClip(r, rate) for r in refs],
-        [AudioClip(e, rate) for e in ests],
-        MetricConfig(filter_length=flen),
-        report,
-    )
-    assert report.windows_scored == 1 and report.dense_fallback == 0
-    for j in range(n_src):
-        want = dense_metrics(refs, ests[j], j, flen)
-        for name, value in want.items():
-            assert abs(frames[j].values(name)[0] - value) < 1e-6, (j, name)
+    # One tap and the shortest FFT-path filter, then a longer one.
+    for flen in (1, _DIRECT_MAX_LAG + 1, 64):
+        report = ScoringReport()
+        frames = framewise_scores(
+            [AudioClip(r, rate) for r in refs],
+            [AudioClip(e, rate) for e in ests],
+            MetricConfig(filter_length=flen),
+            report,
+        )
+        assert report.windows_scored == 1 and report.dense_fallback == 0
+        for j in range(n_src):
+            want = dense_metrics(refs, ests[j], j, flen)
+            for name, value in want.items():
+                assert abs(frames[j].values(name)[0] - value) < 1e-6, (flen, j, name)

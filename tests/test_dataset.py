@@ -32,6 +32,17 @@ def test_audio_clip_rejects_non_finite_samples(bad):
         AudioClip(samples, SR)
 
 
+def test_audio_clip_window_is_a_read_only_contiguous_copy(rng):
+    clip = _clip(rng, n=500)
+    win = clip.window(100, 350)
+    assert np.array_equal(win.samples, clip.samples[:, 100:350])
+    assert win.samples.flags.c_contiguous and not win.samples.flags.writeable
+    assert not np.shares_memory(win.samples, clip.samples)
+    assert win.sample_rate == SR
+    with pytest.raises(InvalidInputError):
+        clip.window(400, 501)
+
+
 def _write_song(root, song_id, stems):
     song_dir = root / song_id
     song_dir.mkdir(parents=True)
@@ -64,6 +75,14 @@ class TestWavIo:
         clip = read_wav(path)
         expected = data.astype(np.float64) / 2.0**15
         assert np.array_equal(clip.samples[0], expected)
+
+    def test_stereo_int16_channels_first(self, tmp_path, rng):
+        data = rng.integers(-(2**15), 2**15, size=(300, 2)).astype(np.int16)
+        path = tmp_path / "s16.wav"
+        scipy.io.wavfile.write(path, SR, data)
+        clip = read_wav(path)
+        assert clip.samples.flags.c_contiguous
+        assert np.array_equal(clip.samples, data.T.astype(np.float64) / 2.0**15)
 
     def test_int32_scaling(self, tmp_path):
         data = np.array([0, 2**30, -(2**31)], dtype=np.int32)

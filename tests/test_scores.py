@@ -4,7 +4,7 @@ import math
 import pytest
 
 from separability import InvalidInputError, ScoreTable, aggregate_dataset
-from separability.scores import CSV_HEADER, format_score, summary_to_csv
+from separability.scores import CSV_HEADER, format_score, json_value, summary_to_csv
 
 
 def _table(rows, metadata=None):
@@ -35,6 +35,11 @@ class TestFormatting:
     def test_no_negative_zero(self):
         assert format_score(-0.0) == "0.000000"
         assert format_score(-1e-9) == "0.000000"
+
+    def test_json_value(self):
+        assert json_value(math.nan) is None
+        assert json_value(1.23456789) == 1.234568
+        assert json.dumps(json_value(-1e-9)) == "0.0"
 
 
 class TestTable:
