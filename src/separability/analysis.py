@@ -13,7 +13,6 @@ serialized plan, so plans reproduce bit-for-bit anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -24,7 +23,15 @@ from .audio import AudioClip
 from .dataset import DatasetManifest, MultitrackSong
 from .errors import InvalidInputError, UndefinedCorrelationError
 from .metrics import METRICS
-from .scores import FORMAT_VERSION, ScoreTable, format_score, json_value
+from .scores import (
+    FORMAT_VERSION,
+    ScoreTable,
+    envelope,
+    metric_cells,
+    metric_json,
+    write_csv,
+    write_json,
+)
 
 GENERATOR_ID = "pcg64"
 
@@ -71,7 +78,7 @@ class SelectionPlan:
             "selected": list(self.selected),
             "config": dict(metadata or {}),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return write_json(payload)
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ class MutePlan:
             "muted": list(self.muted),
             "config": dict(metadata or {}),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return write_json(payload)
 
 
 def rank_songs(table: ScoreTable, metric: str, instrument: str) -> list[str]:
@@ -204,16 +211,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """Fractional ranks starting at 1; tied values share their mean rank."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    # A group of c tied values ending at sorted position k shares rank k - (c - 1) / 2.
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -242,32 +242,28 @@ class CorrelationGrid:
         return any(math.isnan(v) for v in cells)
 
     def to_csv(self, metadata: Mapping[str, str] | None = None) -> str:
-        meta = dict(metadata or {})
-        meta.setdefault("format_version", FORMAT_VERSION)
-        lines = [f"# {key}={value}" for key, value in meta.items()]
-        lines.append("block,instrument," + ",".join(METRICS))
-        for block, cells in (("pearson", self.pearson), ("spearman", self.spearman)):
-            for instrument in self.instruments:
-                row = [block, instrument]
-                row += [format_score(cells[(instrument, m)]) for m in METRICS]
-                lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        rows = [
+            [block, instrument, *metric_cells({m: cells[(instrument, m)] for m in METRICS})]
+            for block, cells in (("pearson", self.pearson), ("spearman", self.spearman))
+            for instrument in self.instruments
+        ]
+        return write_csv(metadata or {}, "block,instrument," + ",".join(METRICS), rows)
 
     def to_json(self, metadata: Mapping[str, str] | None = None) -> str:
         def block(cells: Mapping[tuple[str, str], float]):
             return {
-                instrument: {m: json_value(cells[(instrument, m)]) for m in METRICS}
+                instrument: metric_json({m: cells[(instrument, m)] for m in METRICS})
                 for instrument in self.instruments
             }
 
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "config": dict(metadata or {}),
-            "pearson": block(self.pearson),
-            "spearman": block(self.spearman),
-            "diagnostics": list(self.diagnostics),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return write_json(
+            envelope(
+                metadata or {},
+                pearson=block(self.pearson),
+                spearman=block(self.spearman),
+                diagnostics=list(self.diagnostics),
+            )
+        )
 
 
 def correlate_tables(a: ScoreTable, b: ScoreTable) -> CorrelationGrid:

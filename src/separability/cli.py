@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Commands: analyze, rank, select, correlate, mute-plan, check-cola.
-Every flag can also be supplied through an environment variable named
-SEPARABILITY_<FLAG> (dashes become underscores, upper-cased); explicit
-flags win over the environment, the environment wins over defaults.
+Twelve flags can also be supplied through an environment variable
+named SEPARABILITY_<FLAG>: WINDOW_SIZE, HOP, WINDOW_KIND, ALPHA,
+ZERO_BIN_POLICY, FILTER_LEN, FAST_METRICS, SEED, OUT, DATASET, MANIFEST
+and WORKERS.  Explicit flags win over the environment, the environment
+wins over defaults.
 
 Exit codes: 0 success, 1 partial failure (some songs failed, or the
 correlation grid has undefined cells, or a COLA check fails), 2 invalid
@@ -17,8 +19,6 @@ command with identical inputs reproduces its files byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +35,17 @@ from .dataset import load_manifest, load_song, make_mixture, normalize_loudness
 from .errors import SeparabilityError
 from .irm import ZERO_BIN_POLICIES, OracleConfig, oracle_separate
 from .metrics import METRICS, MetricConfig, ScoringReport, aggregate_song, framewise_scores
-from .scores import FORMAT_VERSION, ScoreTable, aggregate_dataset, json_value, summary_to_csv
+from .scores import (
+    FORMAT_VERSION,
+    ScoreTable,
+    aggregate_dataset,
+    envelope,
+    format_score,
+    metric_json,
+    summary_to_csv,
+    write_csv,
+    write_json,
+)
 from .stft import WINDOW_KINDS, StftConfig, check_cola
 
 ENV_PREFIX = "SEPARABILITY_"
@@ -215,16 +225,12 @@ def _song_job(payload):
 
 def _curve_csv(table: ScoreTable, metadata: dict[str, str]) -> str:
     """Long-format ranking curve: per instrument, songs by descending SI-SDR."""
-    meta = dict(metadata)
-    meta.setdefault("format_version", FORMAT_VERSION)
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append("instrument,rank,song_id,si_sdr")
-    for instrument in table.instruments():
-        for rank, song_id in enumerate(rank_songs(table, "si_sdr", instrument), start=1):
-            value = table.value(song_id, instrument, "si_sdr")
-            cell = "" if math.isnan(value) else format(value, ".6f")
-            lines.append(f"{instrument},{rank},{song_id},{cell}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        [instrument, str(rank), song_id, format_score(table.value(song_id, instrument, "si_sdr"))]
+        for instrument in table.instruments()
+        for rank, song_id in enumerate(rank_songs(table, "si_sdr", instrument), start=1)
+    ]
+    return write_csv(metadata, "instrument,rank,song_id,si_sdr", rows)
 
 
 def cmd_analyze(args) -> int:
@@ -279,20 +285,8 @@ def cmd_analyze(args) -> int:
     (out_dir / "scores.json").write_text(table.to_json())
     summary = aggregate_dataset(table)
     (out_dir / "summary.csv").write_text(summary_to_csv(summary, metadata))
-    (out_dir / "summary.json").write_text(
-        json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "config": {k: v for k, v in metadata.items() if k != "format_version"},
-                "summary": {
-                    inst: {m: json_value(values[m]) for m in METRICS}
-                    for inst, values in summary.items()
-                },
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    summary_payload = {inst: metric_json(values) for inst, values in summary.items()}
+    (out_dir / "summary.json").write_text(write_json(envelope(metadata, summary=summary_payload)))
     (out_dir / "separability_curve.csv").write_text(_curve_csv(table, metadata))
 
     logs_dir = out_dir / "logs"
@@ -306,14 +300,9 @@ def cmd_analyze(args) -> int:
             "error": result["error"],
             "n_windows": result["n_windows"],
             **result["accounting"],
-            "scores": {
-                inst: {m: json_value(values[m]) for m in METRICS}
-                for inst, values in result["scores"].items()
-            },
+            "scores": {inst: metric_json(values) for inst, values in result["scores"].items()},
         }
-        (logs_dir / f"{result['song_id']}.json").write_text(
-            json.dumps(log_payload, indent=2) + "\n"
-        )
+        (logs_dir / f"{result['song_id']}.json").write_text(write_json(log_payload))
 
     failed = [r["song_id"] for r in results if r["status"] != "ok"]
     for song_id in failed:
@@ -336,7 +325,7 @@ def cmd_rank(args) -> int:
         "ranking": ranking,
         "config": {"command": "rank", "scores": str(args.scores)},
     }
-    _write_text(_resolve_out(args, None), json.dumps(payload, indent=2) + "\n")
+    _write_text(_resolve_out(args, None), write_json(payload))
     return 0
 
 

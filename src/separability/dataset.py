@@ -259,6 +259,11 @@ def load_manifest(
     song_ids = [song_id for song_id, _ in entries]
     if instruments is None:
         instruments = _discover_instruments(root, song_ids)
+    for label in (*song_ids, *instruments):
+        if "," in label:
+            raise DatasetError(
+                f"{manifest_path}: {label!r} contains ',', which CSV cells cannot hold"
+            )
 
     for song_id in song_ids:
         song_dir = root / song_id

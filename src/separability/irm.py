@@ -79,17 +79,6 @@ class MaskSet:
         object.__setattr__(self, "masks", arr)
         object.__setattr__(self, "source_ids", tuple(self.source_ids))
 
-    @property
-    def n_sources(self) -> int:
-        return self.masks.shape[0]
-
-    def mask_for(self, source_id: str) -> np.ndarray:
-        try:
-            idx = self.source_ids.index(source_id)
-        except ValueError:
-            raise InvalidInputError(f"no mask for source {source_id!r}") from None
-        return self.masks[idx]
-
 
 def compute_irm(
     source_specs: Sequence[Spectrogram],

@@ -1,17 +1,20 @@
-"""Score tables: per-song, per-instrument metric values and their serialization.
+"""Score tables, and the one output format every command writes.
 
 One row per (song_id, instrument).  Missing values are NaN in memory,
 empty cells in CSV, null in JSON.  Serialized numbers are printed with
 six decimal places (round-half-even) so that repeated runs diff cleanly.
-Every serialized table starts with '#' metadata lines carrying a format
-version and the resolved configuration of the run that produced it.
+Every CSV file starts with '# key=value' metadata lines carrying a format
+version and the resolved configuration of the run that produced it;
+every JSON file is indented by two spaces.  This module is the only one
+that knows that format: the other modules hand their rows and payloads
+to ``write_csv``, ``write_json`` and ``envelope``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInputError
 from .metrics import METRICS, median_ignoring_missing
@@ -36,6 +39,44 @@ def json_value(value: float):
     if math.isnan(value):
         return None
     return float(format_score(value)) + 0.0
+
+
+def metric_cells(values: Mapping[str, float]) -> list[str]:
+    """The CSV cells of one row's metrics, in ``METRICS`` order."""
+    return [format_score(values[m]) for m in METRICS]
+
+
+def metric_json(values: Mapping[str, float]) -> dict:
+    """The JSON object of one row's metrics, in ``METRICS`` order."""
+    return {m: json_value(values[m]) for m in METRICS}
+
+
+def write_csv(metadata: Mapping[str, str], header: str, rows: Iterable[Sequence[str]]) -> str:
+    """'# key=value' metadata lines, the header line, then one line per row.
+
+    ``format_version`` is added to the metadata when absent; a value it
+    already carries (a table read from a file) is kept.
+    """
+    meta = dict(metadata)
+    meta.setdefault("format_version", FORMAT_VERSION)
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    lines.append(header)
+    lines.extend(",".join(cells) for cells in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_json(payload) -> str:
+    """Two-space indented JSON, keys in insertion order, newline-terminated."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def envelope(metadata: Mapping[str, str], **body) -> dict:
+    """``format_version``, the run's configuration, then the body's keys."""
+    return {
+        "format_version": metadata.get("format_version", FORMAT_VERSION),
+        "config": {k: v for k, v in metadata.items() if k != "format_version"},
+        **body,
+    }
 
 
 class ScoreTable:
@@ -80,15 +121,9 @@ class ScoreTable:
 
     # -- serialization -------------------------------------------------
 
-    def to_csv(self, metadata: Mapping[str, str] | None = None) -> str:
-        meta = dict(metadata if metadata is not None else self.metadata)
-        meta.setdefault("format_version", FORMAT_VERSION)
-        lines = [f"# {key}={value}" for key, value in meta.items()]
-        lines.append(CSV_HEADER)
-        for song_id, instrument, values in self.rows():
-            cells = [song_id, instrument] + [format_score(values[m]) for m in METRICS]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> str:
+        rows = ([song, inst, *metric_cells(values)] for song, inst, values in self.rows())
+        return write_csv(self.metadata, CSV_HEADER, rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "ScoreTable":
@@ -125,22 +160,12 @@ class ScoreTable:
         table.metadata = metadata
         return table
 
-    def to_json(self, metadata: Mapping[str, str] | None = None) -> str:
-        meta = dict(metadata if metadata is not None else self.metadata)
-        meta.setdefault("format_version", FORMAT_VERSION)
-        payload = {
-            "format_version": meta["format_version"],
-            "config": {k: v for k, v in meta.items() if k != "format_version"},
-            "rows": [
-                {
-                    "song_id": song_id,
-                    "instrument": instrument,
-                    **{m: json_value(values[m]) for m in METRICS},
-                }
-                for song_id, instrument, values in self.rows()
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    def to_json(self) -> str:
+        rows = [
+            {"song_id": song_id, "instrument": instrument, **metric_json(values)}
+            for song_id, instrument, values in self.rows()
+        ]
+        return write_json(envelope(self.metadata, rows=rows))
 
     @classmethod
     def from_json(cls, text: str) -> "ScoreTable":
@@ -174,12 +199,5 @@ def aggregate_dataset(table: ScoreTable) -> dict[str, dict[str, float]]:
 
 
 def summary_to_csv(summary: Mapping[str, Mapping[str, float]], metadata: Mapping[str, str]) -> str:
-    meta = dict(metadata)
-    meta.setdefault("format_version", FORMAT_VERSION)
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append("instrument," + ",".join(METRICS))
-    for instrument, values in summary.items():
-        lines.append(
-            ",".join([instrument] + [format_score(values[m]) for m in METRICS])
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([instrument, *metric_cells(values)] for instrument, values in summary.items())
+    return write_csv(metadata, "instrument," + ",".join(METRICS), rows)

@@ -21,8 +21,9 @@ from separability import (
     select_subset,
     spearman,
 )
+from separability.analysis import _average_ranks
 
-from oracles import direct_pearson, direct_spearman
+from oracles import counting_ranks, direct_pearson, direct_spearman
 
 
 def _table(scores, instrument="bass"):
@@ -181,6 +182,15 @@ class TestSpearman:
         except UndefinedCorrelationError:
             return
         assert rho == pytest.approx(direct_spearman(x, y), abs=1e-12)
+
+    def test_average_ranks_match_counting_oracle_on_heavy_ties(self):
+        gen = np.random.Generator(np.random.PCG64(6))
+        for _ in range(200):
+            n = int(gen.integers(1, 60))
+            # Few distinct values, signed zeros among them, so most ranks are shared.
+            pool = np.array([-0.0, 0.0, 1.5, -2.0, 3.25, 1e-300])
+            v = pool[gen.integers(0, pool.size, n)]
+            assert _average_ranks(v).tolist() == counting_ranks(v.tolist())
 
     def test_monotone_transform_invariance(self):
         x = [3.0, 1.0, 4.0, 1.5, 9.0]

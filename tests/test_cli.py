@@ -13,7 +13,7 @@ import pytest
 import scipy.io.wavfile
 
 from separability import ScoreTable
-from separability.cli import DEFAULT_RATIOS, main
+from separability.cli import DEFAULT_RATIOS, _curve_csv, main
 from separability.synth import write_fixture_dataset
 
 FAST_FLAGS = ["--fast-metrics", "--window-size", "1024", "--hop", "256"]
@@ -196,6 +196,34 @@ def test_analyze_rejects_non_finite_samples(tmp_path, capsys):
     log = json.loads((out_dir / "logs" / "song01.json").read_text())
     assert log["status"] == "error"
     assert "InvalidInputError" in log["error"]
+
+
+@pytest.mark.parametrize("renamed", ["song", "stem"])
+def test_analyze_rejects_comma_in_labels(tmp_path, capsys, renamed):
+    # A comma in a song id or instrument label would add a cell to its CSV rows.
+    root = tmp_path / "comma"
+    write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, n_channels=1)
+    if renamed == "song":
+        (root / "song01").rename(root / "song,01")
+        manifest = root / "manifest.tsv"
+        manifest.write_text(manifest.read_text().replace("song01", "song,01"))
+    else:
+        for song in ("song00", "song01"):
+            (root / song / "bass.wav").rename(root / song / "bass,di.wav")
+
+    out_dir = tmp_path / "out"
+    code = main(["analyze", "--dataset", str(root), "--out", str(out_dir)] + FAST_FLAGS)
+    assert code == 2
+    assert "contains ','" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_curve_writes_unsigned_zero_like_scores_csv():
+    table = ScoreTable({"command": "test"})
+    table.add_row("a", "bass", {"si_sdr": -1e-9})
+    curve = _curve_csv(table, table.metadata)
+    assert curve.splitlines()[-1] == "bass,1,a,0.000000"
+    assert table.to_csv().splitlines()[-1].startswith("a,bass,0.000000,")
 
 
 def test_analyze_without_dataset_or_manifest_is_a_usage_error(capsys):
