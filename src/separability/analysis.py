@@ -107,18 +107,16 @@ def rank_songs(table: ScoreTable, metric: str, instrument: str) -> list[str]:
 
     Missing values sort last; ties break on song_id so the order is total.
     """
-    if metric not in METRICS:
-        raise InvalidInputError(f"unknown metric {metric!r}")
-    if not table.has_instrument(instrument):
+    values = table.column(instrument, metric)
+    if not values:
         raise InvalidInputError(f"instrument {instrument!r} not present in table")
-    songs = [s for s, inst, _ in table.rows() if inst == instrument]
 
     def key(song_id: str):
-        value = table.value(song_id, instrument, metric)
+        value = values[song_id]
         missing = math.isnan(value)
         return (missing, -value if not missing else 0.0, song_id)
 
-    return sorted(songs, key=key)
+    return sorted(values, key=key)
 
 
 def select_subset(
@@ -283,8 +281,9 @@ def correlate_tables(a: ScoreTable, b: ScoreTable) -> CorrelationGrid:
     shared = [s for s in a.song_ids() if s in songs_b]
     for instrument in instruments:
         for metric in METRICS:
-            xs = [a.value(s, instrument, metric) for s in shared]
-            ys = [b.value(s, instrument, metric) for s in shared]
+            col_a, col_b = a.column(instrument, metric), b.column(instrument, metric)
+            xs = [col_a.get(s, math.nan) for s in shared]
+            ys = [col_b.get(s, math.nan) for s in shared]
             for name, fn, cells in (
                 ("pearson", pearson, pearson_cells),
                 ("spearman", spearman, spearman_cells),

@@ -13,16 +13,30 @@ configuration or input.
 
 All outputs are deterministic: fixed row ordering, fixed float
 formatting, a pinned random generator, and no timestamps.  Re-running a
-command with identical inputs reproduces its files byte for byte.
+command with identical inputs reproduces its files byte for byte.  Every
+file is written to a temporary name in its directory and then renamed,
+so an interrupted command leaves the previous file or the new one,
+never a truncated one.
+
+``analyze`` scores every song on one BLAS thread per process, whatever
+the environment says: song workers are the unit of parallelism, and a
+BLAS reduction split over a machine-dependent number of threads would
+make the last bits of a score depend on the core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, suppress
 from pathlib import Path
+
+import numpy
+import scipy
 
 from .analysis import (
     GENERATOR_ID,
@@ -77,11 +91,24 @@ def _resolve(flag_value, env_name: str, cast, default):
 
 
 def _write_text(path: Path | None, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, or to stdout when ``path`` is None.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one rename; a failed write removes the temporary
+    file and leaves any previous ``path`` untouched.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_table(path: Path) -> ScoreTable:
@@ -183,6 +210,72 @@ def _accounting(report: ScoringReport, instruments) -> dict:
     }
 
 
+# NumPy's and SciPy's wheels each bundle an OpenBLAS: (package, library
+# glob relative to its site directory, suffix of the exported symbols).
+_OPENBLAS_LIBRARIES = (
+    (numpy, "numpy.libs/libscipy_openblas64_*", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*", ""),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """``(get, set)`` thread-count functions of every bundled OpenBLAS found.
+
+    Empty when NumPy and SciPy were not installed from wheels that
+    bundle OpenBLAS; the lookup runs when called, never at import.
+    """
+    controls = []
+    for package, pattern, suffix in _OPENBLAS_LIBRARIES:
+        site = Path(package.__file__).resolve().parent.parent
+        for path in sorted(site.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return controls
+
+
+def _pin_blas_threads() -> None:
+    """Pool initializer: run every BLAS call of this worker on one thread."""
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's counts."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        print("note: no bundled OpenBLAS found; BLAS threads are not pinned", file=sys.stderr)
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
+def _failed_result(payload, exc: BaseException) -> dict:
+    """The error row of the song ``payload`` describes."""
+    song_dir, _, split = payload[:3]
+    return {
+        "song_id": Path(song_dir).name,
+        "split": split,
+        "status": "error",
+        "error": f"{type(exc).__name__}: {exc}",
+        "n_windows": 0,
+        "accounting": _accounting(ScoringReport(), ()),
+        "scores": {},
+    }
+
+
 def _song_job(payload):
     """Score one song; runs in a worker process, shares nothing.
 
@@ -190,7 +283,6 @@ def _song_job(payload):
     matter which process produced them.
     """
     (song_dir, instruments, split, stft_config, oracle_config, metric_config, normalize) = payload
-    song_id = Path(song_dir).name
     try:
         song = load_song(song_dir, instruments)
         if normalize:
@@ -201,7 +293,7 @@ def _song_job(payload):
         report = ScoringReport()
         frames = framewise_scores(stems, estimates, metric_config, report)
         return {
-            "song_id": song_id,
+            "song_id": Path(song_dir).name,
             "split": split,
             "status": "ok",
             "error": None,
@@ -212,15 +304,38 @@ def _song_job(payload):
             },
         }
     except Exception as exc:
-        return {
-            "song_id": song_id,
-            "split": split,
-            "status": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-            "n_windows": 0,
-            "accounting": _accounting(ScoringReport(), ()),
-            "scores": {},
-        }
+        return _failed_result(payload, exc)
+
+
+def _pool_results(jobs: list, workers: int) -> list[dict]:
+    """Score ``jobs`` in a pool of ``workers`` processes, in job order.
+
+    A worker that dies (killed by the OOM killer, a crash in native
+    code) breaks the pool and loses the result of every song still
+    pending.  Each of those songs is then scored again alone, in a fresh
+    one-worker pool, so a song that kills its worker even alone becomes
+    an error row, and which songs happened to be in flight does not
+    change any output.
+    """
+    results: list[dict | None] = [None] * len(jobs)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
+        futures = []
+        for job in jobs:
+            try:
+                futures.append(pool.submit(_song_job, job))
+            except BrokenProcessPool:
+                break
+        for i, future in enumerate(futures):
+            with suppress(BrokenProcessPool):
+                results[i] = future.result()
+    for i, job in enumerate(jobs):
+        if results[i] is None:
+            try:
+                with ProcessPoolExecutor(max_workers=1, initializer=_pin_blas_threads) as pool:
+                    results[i] = pool.submit(_song_job, job).result()
+            except BrokenProcessPool as exc:
+                results[i] = _failed_result(job, exc)
+    return results
 
 
 def _curve_csv(table: ScoreTable, metadata: dict[str, str]) -> str:
@@ -255,11 +370,11 @@ def cmd_analyze(args) -> int:
         for song_id in sorted(manifest.song_ids())
     ]
 
-    if workers <= 1:
-        results = [_song_job(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_song_job, jobs))
+    with _one_blas_thread():
+        if workers <= 1:
+            results = [_song_job(job) for job in jobs]
+        else:
+            results = _pool_results(jobs, workers)
 
     metadata = {
         "format_version": FORMAT_VERSION,
@@ -280,17 +395,14 @@ def cmd_analyze(args) -> int:
         for inst in manifest.instruments:
             table.add_row(result["song_id"], inst, result["scores"][inst])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "scores.csv").write_text(table.to_csv())
-    (out_dir / "scores.json").write_text(table.to_json())
+    _write_text(out_dir / "scores.csv", table.to_csv())
+    _write_text(out_dir / "scores.json", table.to_json())
     summary = aggregate_dataset(table)
-    (out_dir / "summary.csv").write_text(summary_to_csv(summary, metadata))
+    _write_text(out_dir / "summary.csv", summary_to_csv(summary, metadata))
     summary_payload = {inst: metric_json(values) for inst, values in summary.items()}
-    (out_dir / "summary.json").write_text(write_json(envelope(metadata, summary=summary_payload)))
-    (out_dir / "separability_curve.csv").write_text(_curve_csv(table, metadata))
+    _write_text(out_dir / "summary.json", write_json(envelope(metadata, summary=summary_payload)))
+    _write_text(out_dir / "separability_curve.csv", _curve_csv(table, metadata))
 
-    logs_dir = out_dir / "logs"
-    logs_dir.mkdir(exist_ok=True)
     for result in results:
         log_payload = {
             "format_version": FORMAT_VERSION,
@@ -302,7 +414,7 @@ def cmd_analyze(args) -> int:
             **result["accounting"],
             "scores": {inst: metric_json(values) for inst, values in result["scores"].items()},
         }
-        (logs_dir / f"{result['song_id']}.json").write_text(write_json(log_payload))
+        _write_text(out_dir / "logs" / f"{result['song_id']}.json", write_json(log_payload))
 
     failed = [r["song_id"] for r in results if r["status"] != "ok"]
     for song_id in failed:
@@ -364,9 +476,8 @@ def cmd_correlate(args) -> int:
         "scores_a": str(args.scores_a),
         "scores_b": str(args.scores_b),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "correlations.csv").write_text(grid.to_csv(metadata))
-    (out_dir / "correlations.json").write_text(grid.to_json(metadata))
+    _write_text(out_dir / "correlations.csv", grid.to_csv(metadata))
+    _write_text(out_dir / "correlations.json", grid.to_json(metadata))
     for line in grid.diagnostics:
         print(f"undefined cell: {line}", file=sys.stderr)
     print(f"correlations -> {out_dir}")
@@ -395,14 +506,13 @@ def cmd_mute_plan(args) -> int:
     # Validate every ratio before the first file is written.
     plans = [plan_mutes(manifest, args.instrument, ratio, seed) for ratio in ratios]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     for plan in plans:
         metadata = {
             "command": "mute-plan",
             "manifest": str(manifest_path),
             "train_population": str(len(manifest.song_ids("train"))),
         }
-        (out_dir / f"mute_plan_{plan.ratio:.2f}.json").write_text(plan.to_json(metadata))
+        _write_text(out_dir / f"mute_plan_{plan.ratio:.2f}.json", plan.to_json(metadata))
     print(f"wrote {len(plans)} mute plans -> {out_dir}")
     return 0
 

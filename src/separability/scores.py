@@ -90,6 +90,9 @@ class ScoreTable:
         return len(self._rows)
 
     def add_row(self, song_id: str, instrument: str, values: Mapping[str, float]) -> None:
+        for label in (song_id, instrument):
+            if "," in label:
+                raise InvalidInputError(f"{label!r} contains ',', which CSV cells cannot hold")
         key = (song_id, instrument)
         if key in self._rows:
             raise InvalidInputError(f"duplicate row for song {song_id!r} instrument {instrument!r}")
@@ -116,8 +119,15 @@ class ScoreTable:
         row = self._rows.get((song_id, instrument))
         return math.nan if row is None else row[metric]
 
-    def has_instrument(self, instrument: str) -> bool:
-        return any(inst == instrument for _, inst in self._rows)
+    def column(self, instrument: str, metric: str) -> dict[str, float]:
+        """``{song_id: value}`` of one metric over one instrument's rows, in row order."""
+        if metric not in METRICS:
+            raise InvalidInputError(f"unknown metric {metric!r}")
+        return {
+            song_id: values[metric]
+            for (song_id, inst), values in self._rows.items()
+            if inst == instrument
+        }
 
     # -- serialization -------------------------------------------------
 

@@ -4,15 +4,19 @@ Heavy commands run against the shared synthetic dataset with reduced
 analysis settings so the whole module stays fast.
 """
 
+import contextlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from separability import ScoreTable
+from separability import ScoreTable, cli
 from separability.cli import DEFAULT_RATIOS, _curve_csv, main
 from separability.synth import write_fixture_dataset
 
@@ -77,6 +81,28 @@ def test_analyze_exit_code_and_files(analyze_run):
         assert (out_dir / name).exists(), name
     logs = sorted(p.name for p in (out_dir / "logs").iterdir())
     assert logs == ["song00.json", "song01.json", "song02.json"]
+
+
+def test_analyze_leaves_no_temporary_file(analyze_run):
+    _, out_dir = analyze_run
+    assert [p.name for p in out_dir.rglob(".*")] == []
+
+
+def test_a_failed_write_keeps_the_previous_file(analyze_run, tmp_path, monkeypatch, capsys):
+    _, out_dir = analyze_run
+    target = tmp_path / "rank.json"
+    target.write_text("previous\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    args = ["rank", "--scores", str(out_dir / "scores.csv"), "--metric", "sdr"]
+    code = main(args + ["--instrument", "bass", "--out", str(target)])
+    assert code == 2
+    assert "disk full" in capsys.readouterr().err
+    assert target.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rank.json"]
 
 
 def test_analyze_scores_cover_every_song_and_instrument(analyze_run):
@@ -218,6 +244,101 @@ def test_analyze_rejects_comma_in_labels(tmp_path, capsys, renamed):
     assert not out_dir.exists()
 
 
+# -- BLAS threads and worker deaths ---------------------------------------
+
+
+def _blas_threads() -> tuple[int, ...]:
+    return tuple(get() for get, _ in cli._openblas_thread_controls())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_songs_are_scored_on_one_blas_thread(tiny_dataset, tmp_path, monkeypatch, workers):
+    if workers == "2":
+        # Leave the parent unpinned, so that each pool worker has to pin itself.
+        monkeypatch.setattr(cli, "_one_blas_thread", contextlib.nullcontext)
+    probe = tmp_path / "probe.txt"
+    real_load_song = cli.load_song
+
+    def load_song(song_dir, instruments):
+        with open(probe, "a") as fh:
+            fh.write(f"{os.getpid()} {_blas_threads()}\n")
+        return real_load_song(song_dir, instruments)
+
+    monkeypatch.setattr(cli, "load_song", load_song)
+    base = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "out")]
+    assert main(base + FAST_FLAGS + ["--workers", workers]) == 0
+    lines = probe.read_text().splitlines()
+    assert len(lines) == 2
+    assert {line.split(" ", 1)[1] for line in lines} == {"(1, 1)"}
+
+
+def test_pool_initializer_pins_a_spawned_worker():
+    # A spawned worker inherits nothing from the parent's BLAS state.
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, context, initializer=cli._pin_blas_threads) as pool:
+        assert pool.submit(_blas_threads).result(timeout=120) == (1, 1)
+
+
+def test_analyze_restores_the_callers_blas_threads(tiny_dataset, tmp_path, monkeypatch):
+    controls = cli._openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    base = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "out")]
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        assert main(base + FAST_FLAGS) == 0
+        assert _blas_threads() == (2, 2)
+
+        def fail(payload):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "_song_job", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            main(base + FAST_FLAGS)
+        assert _blas_threads() == (2, 2)
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
+def test_analyze_runs_unpinned_without_a_bundled_openblas(tiny_dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: [])
+    base = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "out")]
+    assert main(base + FAST_FLAGS) == 0
+    err = capsys.readouterr().err
+    assert err.count("BLAS threads are not pinned") == 1
+
+
+def test_a_killed_worker_costs_one_song(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "ds"
+    write_fixture_dataset(root, n_songs=4, seed=5, duration=0.3, n_channels=1)
+    clean, killed = tmp_path / "clean", tmp_path / "killed"
+    base = ["analyze", "--dataset", str(root)] + FAST_FLAGS
+    assert main(base + ["--out", str(clean)]) == 0
+    real_load_song = cli.load_song
+
+    def load_song(song_dir, instruments):
+        if Path(song_dir).name == "song01":
+            os._exit(1)  # dies like an OOM-killed worker: no exception, no result
+        return real_load_song(song_dir, instruments)
+
+    monkeypatch.setattr(cli, "load_song", load_song)
+    capsys.readouterr()
+    assert main(base + ["--out", str(killed), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("failed:")] == ["failed: song01"]
+
+    log = json.loads((killed / "logs" / "song01.json").read_text())
+    assert log["status"] == "error"
+    assert log["error"].startswith("BrokenProcessPool: ")
+    for song in ("song00", "song02", "song03"):
+        name = f"logs/{song}.json"
+        assert (killed / name).read_bytes() == (clean / name).read_bytes()
+    clean_lines = (clean / "scores.csv").read_text().splitlines(keepends=True)
+    expected = "".join(line for line in clean_lines if not line.startswith("song01,"))
+    assert (killed / "scores.csv").read_text() == expected
+
+
 def test_curve_writes_unsigned_zero_like_scores_csv():
     table = ScoreTable({"command": "test"})
     table.add_row("a", "bass", {"si_sdr": -1e-9})
@@ -354,6 +475,26 @@ def test_correlate_flags_undefined_cells(tmp_path, capsys):
     assert "undefined cell" in capsys.readouterr().err
     payload = json.loads((tmp_path / "o" / "correlations.json").read_text())
     assert payload["pearson"]["bass"]["si_sdr"] is None
+
+
+@pytest.mark.parametrize("command", ["rank", "correlate"])
+def test_table_with_comma_in_a_label_is_rejected(tmp_path, capsys, command):
+    # A comma in an instrument label would add a cell to every CSV row written from it.
+    rows = [
+        {"song_id": song, "instrument": "bass,di", "si_sdr": float(i)}
+        for i, song in enumerate("abcd")
+    ]
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"format_version": "1", "config": {}, "rows": rows}))
+    out = tmp_path / "out"
+    if command == "rank":
+        argv = ["rank", "--scores", str(scores), "--metric", "si_sdr", "--instrument", "bass,di"]
+        argv += ["--out", str(out)]
+    else:
+        argv = ["correlate", str(scores), str(scores), "--out", str(out)]
+    assert main(argv) == 2
+    assert "contains ','" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- mute-plan ----------------------------------------------------------

@@ -53,6 +53,13 @@ class TestTable:
         with pytest.raises(InvalidInputError):
             table.add_row("a", "bass", {"volume": 11.0})
 
+    @pytest.mark.parametrize("song_id,instrument", [("a,b", "bass"), ("a", "bass,di")])
+    def test_comma_in_label_rejected(self, song_id, instrument):
+        table = ScoreTable()
+        with pytest.raises(InvalidInputError, match="contains ','"):
+            table.add_row(song_id, instrument, {"sdr": 1.0})
+        assert len(table) == 0
+
     def test_missing_row_reads_as_missing(self):
         table = _table([("a", "bass", 1.0)])
         assert math.isnan(table.value("zzz", "bass", "si_sdr"))
