@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -218,11 +219,14 @@ _OPENBLAS_LIBRARIES = (
 )
 
 
-def _openblas_thread_controls() -> list[tuple]:
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, ...]:
     """``(get, set)`` thread-count functions of every bundled OpenBLAS found.
 
     Empty when NumPy and SciPy were not installed from wheels that
-    bundle OpenBLAS; the lookup runs when called, never at import.
+    bundle OpenBLAS.  The lookup runs on the first call, never at import,
+    and once per process: a worker forked after it inherits the handles
+    instead of faulting the loader's pages in again.
     """
     controls = []
     for package, pattern, suffix in _OPENBLAS_LIBRARIES:
@@ -237,7 +241,7 @@ def _openblas_thread_controls() -> list[tuple]:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
             controls.append((get, set_))
-    return controls
+    return tuple(controls)
 
 
 def _pin_blas_threads() -> None:

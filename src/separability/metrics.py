@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 import scipy.fft
 import scipy.linalg
-from scipy.signal import fftconvolve
 
 from .audio import AudioClip
 from .errors import ConfigurationError, InvalidInputError, SilentReferenceError
@@ -171,6 +170,24 @@ def _synthesize(coef: np.ndarray, regs: np.ndarray) -> np.ndarray:
     out[:, :-1] += segments[..., :block]
     out[:, 1:] += segments[..., block:]
     return out.reshape(n_out, -1)[:, : n + flen - 1]
+
+
+def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two broadcastable arrays along the last axis.
+
+    Takes the steps of ``scipy.signal.fftconvolve(in1, in2, axes=-1)``, so
+    it returns the same bits, without importing ``scipy.signal`` and the
+    subpackages behind it (most of the package's start-up time).  A
+    length-1 last axis needs no transform: the result is the broadcast
+    product, as SciPy's.
+    """
+    n1, n2 = in1.shape[-1], in2.shape[-1]
+    if n1 == 1 or n2 == 1:
+        return in1 * in2
+    n = n1 + n2 - 1
+    nfft = scipy.fft.next_fast_len(n, True)
+    spectrum = scipy.fft.rfftn(in1, [nfft], axes=[-1]) * scipy.fft.rfftn(in2, [nfft], axes=[-1])
+    return scipy.fft.irfftn(spectrum, [nfft], axes=[-1])[..., :n].copy()
 
 
 def _lower(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -402,7 +419,7 @@ def _project_window(
         filt, path = _dense_solve(_gram(auto[:, own][:, :, own]), rhs)
         target_paths.append(path)
         filters = filt.reshape(own.size, flen, n_ch).transpose(2, 0, 1)
-        p_target[t] = fftconvolve(filters, regs[own][np.newaxis], axes=-1).sum(axis=1)
+        p_target[t] = fftconvolve(filters, regs[own][np.newaxis]).sum(axis=1)
     return _WindowProjections(
         p_target, p_all.reshape(len(targets), n_ch, -1), all_path, tuple(target_paths)
     )

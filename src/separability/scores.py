@@ -93,13 +93,17 @@ class ScoreTable:
         for label in (song_id, instrument):
             if "," in label:
                 raise InvalidInputError(f"{label!r} contains ',', which CSV cells cannot hold")
-        key = (song_id, instrument)
-        if key in self._rows:
-            raise InvalidInputError(f"duplicate row for song {song_id!r} instrument {instrument!r}")
         unknown = set(values) - set(METRICS)
         if unknown:
             raise InvalidInputError(f"unknown metrics in row: {sorted(unknown)}")
-        self._rows[key] = {m: float(values.get(m, math.nan)) for m in METRICS}
+        self._insert(song_id, instrument, {m: float(values.get(m, math.nan)) for m in METRICS})
+
+    def _insert(self, song_id: str, instrument: str, row: dict[str, float]) -> None:
+        """Store a row already keyed by METRICS, refusing a second (song, instrument)."""
+        key = (song_id, instrument)
+        if key in self._rows:
+            raise InvalidInputError(f"duplicate row for song {song_id!r} instrument {instrument!r}")
+        self._rows[key] = row
 
     def rows(self) -> Iterator[tuple[str, str, dict[str, float]]]:
         for (song_id, instrument), values in self._rows.items():
@@ -164,7 +168,8 @@ class ScoreTable:
                 metric: float(cell) if cell else math.nan
                 for metric, cell in zip(METRICS, cells[2:])
             }
-            table.add_row(cells[0], cells[1], values)
+            # Split on ',' and mapped onto METRICS: nothing add_row checks is left but the key.
+            table._insert(cells[0], cells[1], values)
         if not header_seen:
             raise InvalidInputError("no header line found")
         table.metadata = metadata

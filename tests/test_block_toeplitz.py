@@ -1,10 +1,11 @@
 """Cross-checks of the block-Toeplitz projection solver.
 
 The lag correlations are compared with direct sums, the projection
-synthesis with scipy's fftconvolve, the block Levinson solve with a
-dense solve of the explicitly assembled Gram matrix, and whole windows
-at J=4, C=2 with the SVD projections of oracles.py.  Filter lengths on
-both sides of _DIRECT_MAX_LAG cover the direct and the FFT paths.
+synthesis and the package's own fftconvolve with scipy's, the block
+Levinson solve with a dense solve of the explicitly assembled Gram
+matrix, and whole windows at J=4, C=2 with the SVD projections of
+oracles.py.  Filter lengths on both sides of _DIRECT_MAX_LAG cover the
+direct and the FFT paths.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from separability.metrics import (
     _lag_correlations,
     _levinson,
     _synthesize,
+    fftconvolve as package_fftconvolve,
 )
 from separability.synth import fixture_stem
 
@@ -74,6 +76,27 @@ def test_synthesis_matches_fftconvolve(flen, n):
     want = fftconvolve(coef.transpose(2, 1, 0), regs[np.newaxis], axes=-1).sum(axis=1)
     assert got.shape == want.shape == (3, n + flen - 1)
     assert np.max(np.abs(got - want)) < 1e-12 * np.sqrt(flen * n)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("flen", [1, 2, _DIRECT_MAX_LAG, _DIRECT_MAX_LAG + 1, 64, 512])
+@pytest.mark.parametrize("n", [1, 300, 1537, 44100])
+def test_package_fftconvolve_is_scipys_bit_for_bit(flen, n):
+    gen = np.random.Generator(np.random.PCG64(flen * 100000 + n))
+    for n_regs in (1, 2, 3):
+        filters = gen.normal(size=(n_regs, flen))
+        regs = gen.normal(size=(n_regs, n))
+        assert_same_bits(package_fftconvolve(filters, regs), fftconvolve(filters, regs, axes=-1))
+        assert_same_bits(package_fftconvolve(regs, filters), fftconvolve(regs, filters, axes=-1))
+        # _project_window convolves (C, own, L) filters with (1, own, N) regressors.
+        filters = gen.normal(size=(2, n_regs, flen))
+        regs = regs[np.newaxis]
+        assert_same_bits(package_fftconvolve(filters, regs), fftconvolve(filters, regs, axes=-1))
 
 
 @pytest.mark.parametrize("flen", [1, 2, 7, 64])

@@ -99,6 +99,16 @@ class TestCsv:
         with pytest.raises(InvalidInputError):
             ScoreTable.from_csv(text)
 
+    def test_duplicate_row_rejected(self):
+        text = CSV_HEADER + "\na,bass,1.0,,,,\nb,bass,,,,,\na,bass,2.0,,,,\n"
+        with pytest.raises(InvalidInputError, match="duplicate row for song 'a' instrument 'bass'"):
+            ScoreTable.from_csv(text)
+
+    def test_comma_in_label_is_a_bad_cell_count(self):
+        text = CSV_HEADER + "\na,bass,di,1.0,,,,\n"
+        with pytest.raises(InvalidInputError, match="line 2: expected 7 cells"):
+            ScoreTable.from_csv(text)
+
     def test_serialization_is_stable(self):
         table = _table([("a", "bass", 1.0), ("a", "drums", -2.5)], {"seed": "0"})
         assert table.to_csv() == table.to_csv()
