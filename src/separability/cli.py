@@ -4,8 +4,10 @@ Commands: analyze, rank, select, correlate, mute-plan, check-cola.
 Twelve flags can also be supplied through an environment variable
 named SEPARABILITY_<FLAG>: WINDOW_SIZE, HOP, WINDOW_KIND, ALPHA,
 ZERO_BIN_POLICY, FILTER_LEN, FAST_METRICS, SEED, OUT, DATASET, MANIFEST
-and WORKERS.  Explicit flags win over the environment, the environment
-wins over defaults.
+and WORKERS.  ``main`` applies the environment once, before the command
+runs: every one of these flags the command has but was not given takes
+its variable's value.  Explicit flags win over the environment, the
+environment wins over defaults.
 
 Exit codes: 0 success, 1 partial failure (some songs failed, or the
 correlation grid has undefined cells, or a COLA check fails), 2 invalid
@@ -61,7 +63,7 @@ from .scores import (
     write_csv,
     write_json,
 )
-from .stft import WINDOW_KINDS, StftConfig, check_cola
+from .stft import WINDOW_KINDS, StftConfig, check_cola, require_cola
 
 ENV_PREFIX = "SEPARABILITY_"
 
@@ -78,20 +80,28 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _resolve(flag_value, env_name: str, cast, default):
-    """flag > environment > default, with cast errors reported as config errors."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(ENV_PREFIX + env_name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise SeparabilityError(f"bad value for {ENV_PREFIX}{env_name}: {exc}") from None
+# The flags an environment variable can supply, by argparse dest: the
+# variable is ENV_PREFIX + dest.upper(), and its text goes through the cast.
+ENV_CASTS = {
+    "window_size": int, "hop": int, "window_kind": str, "alpha": float,
+    "zero_bin_policy": str, "filter_len": int, "fast_metrics": _parse_bool,
+    "seed": int, "out": str, "dataset": str, "manifest": str, "workers": int,
+}
 
 
-def _write_text(path: Path | None, text: str) -> None:
+def _apply_environment(args) -> None:
+    """Give every flag of the command that was not given its variable's value."""
+    for dest, cast in ENV_CASTS.items():
+        name = ENV_PREFIX + dest.upper()
+        # A flag the command lacks is absent from args; one not given is None.
+        if name in os.environ and dest in vars(args) and getattr(args, dest) is None:
+            try:
+                setattr(args, dest, cast(os.environ[name]))
+            except (TypeError, ValueError) as exc:
+                raise SeparabilityError(f"bad value for {name}: {exc}") from None
+
+
+def _write_text(path: Path | str | None, text: str) -> None:
     """Write ``text`` to ``path`` atomically, or to stdout when ``path`` is None.
 
     The text goes to a temporary file in the same directory, which then
@@ -101,6 +111,7 @@ def _write_text(path: Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -119,61 +130,36 @@ def _load_table(path: Path) -> ScoreTable:
     return ScoreTable.from_csv(text)
 
 
-# -- configuration resolution -----------------------------------------
+# -- configuration -----------------------------------------------------
 
 
-def _resolve_dsp(args) -> tuple[StftConfig, OracleConfig, MetricConfig]:
-    stft_default, oracle_default, metric_default = StftConfig(), OracleConfig(), MetricConfig()
-    window_size = _resolve(
-        getattr(args, "window_size", None), "WINDOW_SIZE", int, stft_default.window_size
+def _configs(args) -> tuple[StftConfig, OracleConfig, MetricConfig]:
+    """The configs of the DSP flags given; every other field keeps its class default."""
+
+    def given(**fields):
+        return {name: value for name, value in fields.items() if value is not None}
+
+    filter_length = 1 if args.fast_metrics else args.filter_len
+    return (
+        StftConfig(
+            **given(window_size=args.window_size, hop_size=args.hop, window_kind=args.window_kind)
+        ),
+        OracleConfig(**given(alpha=args.alpha, zero_bin_policy=args.zero_bin_policy)),
+        MetricConfig(**given(filter_length=filter_length)),
     )
-    hop = _resolve(getattr(args, "hop", None), "HOP", int, stft_default.hop_size)
-    window_kind = _resolve(
-        getattr(args, "window_kind", None), "WINDOW_KIND", str, stft_default.window_kind
-    )
-    alpha = _resolve(getattr(args, "alpha", None), "ALPHA", float, oracle_default.alpha)
-    zero_bin = _resolve(
-        getattr(args, "zero_bin_policy", None),
-        "ZERO_BIN_POLICY",
-        str,
-        oracle_default.zero_bin_policy,
-    )
-    filter_len = _resolve(
-        getattr(args, "filter_len", None), "FILTER_LEN", int, metric_default.filter_length
-    )
-    fast = _resolve(
-        True if getattr(args, "fast_metrics", False) else None,
-        "FAST_METRICS",
-        _parse_bool,
-        False,
-    )
-    if fast:
-        filter_len = 1
-    stft_config = StftConfig(window_size, hop, window_kind)
-    oracle_config = OracleConfig(alpha, zero_bin)
-    metric_config = MetricConfig(filter_length=filter_len)
-    return stft_config, oracle_config, metric_config
 
 
-def _resolve_seed(args) -> int:
-    return _resolve(getattr(args, "seed", None), "SEED", int, 0)
+def _out_dir(args) -> Path:
+    return Path("separability_out" if args.out is None else args.out)
 
 
-def _resolve_out(args, default: str | None) -> Path | None:
-    raw = _resolve(getattr(args, "out", None), "OUT", str, default)
-    return None if raw is None else Path(raw)
-
-
-def _resolve_dataset_manifest(args) -> tuple[Path, Path]:
-    dataset = _resolve(getattr(args, "dataset", None), "DATASET", str, None)
-    manifest = _resolve(getattr(args, "manifest", None), "MANIFEST", str, None)
-    if dataset is None and manifest is None:
+def _dataset_and_manifest(args) -> tuple[Path, Path]:
+    """--dataset and --manifest, each derived from the other when only one is given."""
+    if args.dataset is None and args.manifest is None:
         raise SeparabilityError("need --dataset or --manifest")
-    if manifest is None:
-        manifest = str(Path(dataset) / "manifest.tsv")
-    if dataset is None:
-        dataset = str(Path(manifest).parent)
-    return Path(dataset), Path(manifest)
+    manifest = Path(args.dataset) / "manifest.tsv" if args.manifest is None else Path(args.manifest)
+    dataset = manifest.parent if args.dataset is None else Path(args.dataset)
+    return dataset, manifest
 
 
 def _dsp_metadata(
@@ -293,7 +279,7 @@ def _song_job(payload):
             song = normalize_loudness(song)
         song = make_mixture(song)
         stems = [song.stems[inst] for inst in instruments]
-        estimates = oracle_separate(song.mixture, stems, stft_config, oracle_config, instruments)
+        estimates = oracle_separate(song.mixture, stems, stft_config, oracle_config)
         report = ScoringReport()
         frames = framewise_scores(stems, estimates, metric_config, report)
         return {
@@ -353,11 +339,13 @@ def _curve_csv(table: ScoreTable, metadata: dict[str, str]) -> str:
 
 
 def cmd_analyze(args) -> int:
-    dataset, manifest_path = _resolve_dataset_manifest(args)
-    out_dir = _resolve_out(args, "separability_out")
-    workers = _resolve(args.workers, "WORKERS", int, 1)
-    seed = _resolve_seed(args)
-    stft_config, oracle_config, metric_config = _resolve_dsp(args)
+    dataset, manifest_path = _dataset_and_manifest(args)
+    out_dir = _out_dir(args)
+    workers = args.workers or 1
+    seed = args.seed or 0
+    stft_config, oracle_config, metric_config = _configs(args)
+    # An invalid overlap-add pair would fail every song; refuse it before any work.
+    require_cola(stft_config)
     normalize = bool(args.normalize)
 
     manifest = load_manifest(manifest_path, root=dataset)
@@ -441,19 +429,18 @@ def cmd_rank(args) -> int:
         "ranking": ranking,
         "config": {"command": "rank", "scores": str(args.scores)},
     }
-    _write_text(_resolve_out(args, None), write_json(payload))
+    _write_text(args.out, write_json(payload))
     return 0
 
 
 def cmd_select(args) -> int:
     table = _load_table(Path(args.scores))
-    seed = _resolve_seed(args)
     ranking = rank_songs(table, args.metric, args.instrument)
     plan = select_subset(
         ranking,
         args.criterion,
         args.fraction,
-        seed=seed,
+        seed=args.seed or 0,
         metric=args.metric,
         instrument=args.instrument,
     )
@@ -462,7 +449,7 @@ def cmd_select(args) -> int:
         "scores": str(args.scores),
         "population": str(len(ranking)),
     }
-    _write_text(_resolve_out(args, None), plan.to_json(metadata))
+    _write_text(args.out, plan.to_json(metadata))
     return 0
 
 
@@ -473,7 +460,7 @@ def cmd_correlate(args) -> int:
     table_a = _load_table(Path(args.scores_a))
     table_b = _load_table(Path(args.scores_b))
     grid = correlate_tables(table_a, table_b)
-    out_dir = _resolve_out(args, "separability_out")
+    out_dir = _out_dir(args)
     metadata = {
         "format_version": FORMAT_VERSION,
         "command": "correlate",
@@ -501,11 +488,11 @@ def _parse_ratios(raw: str) -> tuple[float, ...]:
 
 
 def cmd_mute_plan(args) -> int:
-    dataset, manifest_path = _resolve_dataset_manifest(args)
+    dataset, manifest_path = _dataset_and_manifest(args)
     manifest = load_manifest(manifest_path, root=dataset)
-    seed = _resolve_seed(args)
+    seed = args.seed or 0
     ratios = DEFAULT_RATIOS if args.ratios is None else _parse_ratios(args.ratios)
-    out_dir = _resolve_out(args, "separability_out")
+    out_dir = _out_dir(args)
 
     # Validate every ratio before the first file is written.
     plans = [plan_mutes(manifest, args.instrument, ratio, seed) for ratio in ratios]
@@ -525,7 +512,7 @@ def cmd_mute_plan(args) -> int:
 
 
 def cmd_check_cola(args) -> int:
-    stft_config, _, _ = _resolve_dsp(args)
+    stft_config, _, _ = _configs(args)
     report = check_cola(stft_config)
     verdict = "PASS" if report.passed else "FAIL"
     print(
@@ -622,6 +609,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_environment(args)
         return args.func(args)
     except SeparabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

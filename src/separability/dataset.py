@@ -31,7 +31,7 @@ MIXTURE_NAME = "mixture"
 _PCM_SCALES = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
 
 
-def read_wav(path: Path | str, expected_rate: int = SAMPLE_RATE) -> AudioClip:
+def read_wav(path: Path | str) -> AudioClip:
     path = Path(path)
     try:
         rate, data = scipy.io.wavfile.read(path)
@@ -39,8 +39,8 @@ def read_wav(path: Path | str, expected_rate: int = SAMPLE_RATE) -> AudioClip:
         raise DatasetError(f"audio file not found: {path}") from None
     except ValueError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if expected_rate is not None and rate != expected_rate:
-        raise DatasetError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
+    if rate != SAMPLE_RATE:
+        raise DatasetError(f"{path}: sample rate {rate} Hz, expected {SAMPLE_RATE} Hz")
     if data.dtype not in _PCM_SCALES and data.dtype not in (np.float32, np.float64):
         raise DatasetError(f"{path}: unsupported sample format {data.dtype}")
     # One float64 copy, channels first and contiguous, which AudioClip keeps.

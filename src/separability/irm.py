@@ -138,7 +138,6 @@ def oracle_separate(
     stems: Sequence[AudioClip],
     stft_config: StftConfig = StftConfig(),
     oracle_config: OracleConfig = OracleConfig(),
-    source_ids: Sequence[str] | None = None,
 ) -> list[AudioClip]:
     """Separate a mixture using masks derived from its true stems.
 
@@ -177,7 +176,7 @@ def oracle_separate(
             stft(AudioClip(_padded_segment(clip.samples, start, stop, pad), rate), block_config)
             for clip in (mixture, *stems)
         ]
-        mask_set = compute_irm(stem_specs, oracle_config, source_ids)
+        mask_set = compute_irm(stem_specs, oracle_config)
         for out, spec in zip(estimates, apply_masks(mask_set, mix_spec)):
             out[:, done - pad : end - pad] = istft(spec).samples[:, done - start : end - start]
         done, a = end, b - overlap

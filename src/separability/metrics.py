@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 import scipy.fft
@@ -32,25 +32,24 @@ METRICS = ("si_sdr", "sdr", "sir", "isr", "sar")
 
 @dataclass(frozen=True)
 class MetricConfig:
-    window_length: float = 1.0
-    window_hop: float = 1.0
+    """The distortion filter length, plus the fixed scoring protocol.
+
+    Songs are scored on back-to-back windows, a reference window whose
+    mean square is below silence_threshold scores as missing, and ratios
+    are clipped to +-db_cap dB.  The constants read like fields, so every
+    output records them.
+    """
+
+    window_length: ClassVar[float] = 1.0
+    window_hop: ClassVar[float] = 1.0
+    silence_threshold: ClassVar[float] = 1e-12
+    db_cap: ClassVar[float] = 300.0
+
     filter_length: int = 512
-    silence_threshold: float = 1e-12
-    db_cap: float = 300.0
 
     def __post_init__(self):
-        if not self.window_length > 0:
-            raise ConfigurationError(f"window_length must be > 0, got {self.window_length}")
-        if not self.window_hop > 0:
-            raise ConfigurationError(f"window_hop must be > 0, got {self.window_hop}")
         if self.filter_length < 1:
             raise ConfigurationError(f"filter_length must be >= 1, got {self.filter_length}")
-        if not self.silence_threshold >= 0:
-            raise ConfigurationError(
-                f"silence_threshold must be >= 0, got {self.silence_threshold}"
-            )
-        if not self.db_cap > 0:
-            raise ConfigurationError(f"db_cap must be > 0, got {self.db_cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,7 +485,8 @@ def decompose(
     )
 
 
-def _db_ratio(num: float, den: float, cap: float) -> float:
+def _db_ratio(num: float, den: float) -> float:
+    cap = MetricConfig.db_cap
     if num == 0.0:
         return -cap
     if den == 0.0:
@@ -505,47 +505,47 @@ def _energy(x: np.ndarray) -> float:
     return float(np.sum(x**2))
 
 
-def _ratio(metric: str, s: np.ndarray, components: ErrorComponents, db_cap: float) -> float:
+def _ratio(metric: str, s: np.ndarray, components: ErrorComponents) -> float:
     """SDR, ISR, SIR or SAR in dB against the zero-padded target s; NaN if s is silent."""
     target = _energy(s)
     if target == 0.0:
         return math.nan
     if metric == "sdr":
-        return _db_ratio(target, _energy(components.total_error), db_cap)
+        return _db_ratio(target, _energy(components.total_error))
     if metric == "isr":
-        return _db_ratio(target, _energy(components.e_spat), db_cap)
+        return _db_ratio(target, _energy(components.e_spat))
     if metric == "sir":
-        return _db_ratio(_energy(s + components.e_spat), _energy(components.e_interf), db_cap)
+        return _db_ratio(_energy(s + components.e_spat), _energy(components.e_interf))
     num = _energy(s + components.e_spat + components.e_interf)
-    return _db_ratio(num, _energy(components.e_artif), db_cap)
+    return _db_ratio(num, _energy(components.e_artif))
 
 
-def sdr(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
+def sdr(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of target energy to total error energy, in dB."""
-    return _ratio("sdr", _padded_target(components, reference), components, db_cap)
+    return _ratio("sdr", _padded_target(components, reference), components)
 
 
-def isr(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
+def isr(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of target energy to spatial-distortion energy, in dB."""
-    return _ratio("isr", _padded_target(components, reference), components, db_cap)
+    return _ratio("isr", _padded_target(components, reference), components)
 
 
-def sir(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
+def sir(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of spatially-distorted target energy to interference energy, in dB."""
-    return _ratio("sir", _padded_target(components, reference), components, db_cap)
+    return _ratio("sir", _padded_target(components, reference), components)
 
 
-def sar(components: ErrorComponents, reference: AudioClip, db_cap: float = 300.0) -> float:
+def sar(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of artifact-free estimate energy to artifact energy, in dB."""
-    return _ratio("sar", _padded_target(components, reference), components, db_cap)
+    return _ratio("sar", _padded_target(components, reference), components)
 
 
-def si_sdr(estimate: AudioClip, reference: AudioClip, db_cap: float = 300.0) -> float:
+def si_sdr(estimate: AudioClip, reference: AudioClip) -> float:
     """Scale-invariant SDR: SDR against the best scalar rescaling of the reference.
 
     Channels are concatenated into one vector before the inner products.
-    Returns NaN (missing) for a zero reference and -db_cap for a zero
-    estimate.
+    Returns NaN (missing) for a zero reference and -MetricConfig.db_cap
+    for a zero estimate, whose best rescaling of the reference is zero.
     """
     if estimate.n_samples != reference.n_samples or estimate.n_channels != reference.n_channels:
         raise InvalidInputError("estimate and reference must share length and channel count")
@@ -554,11 +554,9 @@ def si_sdr(estimate: AudioClip, reference: AudioClip, db_cap: float = 300.0) -> 
     s_energy = float(np.dot(s, s))
     if s_energy == 0.0:
         return math.nan
-    if not np.any(e):
-        return -db_cap
     alpha = float(np.dot(e, s)) / s_energy
     target = alpha * s
-    return _db_ratio(float(np.dot(target, target)), _energy(target - e), db_cap)
+    return _db_ratio(float(np.dot(target, target)), _energy(target - e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,16 +584,13 @@ class FrameScores:
         return getattr(self, metric)
 
 
-def _window_bounds(n_samples: int, sample_rate: int, config: MetricConfig) -> list[tuple[int, int]]:
-    win = int(round(config.window_length * sample_rate))
-    hop = int(round(config.window_hop * sample_rate))
-    if win < 1 or hop < 1:
-        raise ConfigurationError("window and hop must span at least one sample")
+def _window_bounds(n_samples: int, sample_rate: int) -> list[tuple[int, int]]:
+    """Back-to-back windows of MetricConfig.window_length seconds."""
+    win = round(MetricConfig.window_length * sample_rate)
     if n_samples < win:
         # Too short to fill one window: score the whole signal at once.
         return [(0, n_samples)]
-    n_windows = (n_samples - win) // hop + 1
-    return [(k * hop, k * hop + win) for k in range(n_windows)]
+    return [(start, start + win) for start in range(0, n_samples - win + 1, win)]
 
 
 @dataclass
@@ -643,7 +638,7 @@ def framewise_scores(
             raise InvalidInputError("all clips must share length and channel count")
 
     n_sources = len(references)
-    bounds = _window_bounds(first.n_samples, first.sample_rate, config)
+    bounds = _window_bounds(first.n_samples, first.sample_rate)
     columns: dict[str, np.ndarray] = {
         name: np.full((n_sources, len(bounds)), math.nan) for name in METRICS
     }
@@ -677,9 +672,9 @@ def framewise_scores(
             comp = _components(
                 s_true, ests[t], proj.p_target[t], proj.p_all[t], proj.used_ridge(t)
             )
-            columns["si_sdr"][j, w] = si_sdr(est_windows[j], ref_windows[j], config.db_cap)
+            columns["si_sdr"][j, w] = si_sdr(est_windows[j], ref_windows[j])
             for name in ("sdr", "sir", "isr", "sar"):
-                columns[name][j, w] = _ratio(name, s_true, comp, config.db_cap)
+                columns[name][j, w] = _ratio(name, s_true, comp)
 
     return [
         FrameScores(**{name: columns[name][j] for name in METRICS})

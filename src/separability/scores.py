@@ -164,10 +164,13 @@ class ScoreTable:
             cells = line.split(",")
             if len(cells) != 2 + len(METRICS):
                 raise InvalidInputError(f"line {lineno}: expected {2 + len(METRICS)} cells")
-            values = {
-                metric: float(cell) if cell else math.nan
-                for metric, cell in zip(METRICS, cells[2:])
-            }
+            try:
+                values = {
+                    metric: float(cell) if cell else math.nan
+                    for metric, cell in zip(METRICS, cells[2:])
+                }
+            except ValueError as exc:
+                raise InvalidInputError(f"line {lineno}: {exc}") from None
             # Split on ',' and mapped onto METRICS: nothing add_row checks is left but the key.
             table._insert(cells[0], cells[1], values)
         if not header_seen:
@@ -184,33 +187,42 @@ class ScoreTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ScoreTable":
-        payload = json.loads(text)
-        table = cls()
-        meta = {"format_version": str(payload.get("format_version", FORMAT_VERSION))}
-        meta.update({str(k): str(v) for k, v in payload.get("config", {}).items()})
-        table.metadata = meta
-        for row in payload.get("rows", []):
-            values = {
-                m: math.nan if row.get(m) is None else float(row[m]) for m in METRICS
-            }
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"not a JSON score table: {exc}") from None
+        if not isinstance(payload, dict):
+            kind = type(payload).__name__
+            raise InvalidInputError(f"expected a JSON object at the top level, got {kind}")
+        config, rows = payload.get("config", {}), payload.get("rows", [])
+        if not isinstance(config, dict) or not isinstance(rows, list):
+            raise InvalidInputError("'config' must be an object and 'rows' a list")
+        table = cls({"format_version": str(payload.get("format_version", FORMAT_VERSION))})
+        table.metadata.update({str(k): str(v) for k, v in config.items()})
+        for index, row in enumerate(rows):
+            if not isinstance(row, dict) or not {"song_id", "instrument"} <= row.keys():
+                raise InvalidInputError(
+                    f"row {index}: expected an object with song_id and instrument"
+                )
+            try:
+                values = {
+                    m: math.nan if row.get(m) is None else float(row[m]) for m in METRICS
+                }
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"row {index}: {exc}") from None
             table.add_row(str(row["song_id"]), str(row["instrument"]), values)
         return table
 
 
 def aggregate_dataset(table: ScoreTable) -> dict[str, dict[str, float]]:
     """Per-instrument median of per-song scores, skipping missing entries."""
-    summary: dict[str, dict[str, float]] = {}
-    for instrument in table.instruments():
-        per_metric: dict[str, list[float]] = {m: [] for m in METRICS}
-        for song_id, row_instrument, values in table.rows():
-            if row_instrument != instrument:
-                continue
-            for m in METRICS:
-                per_metric[m].append(values[m])
-        summary[instrument] = {
-            m: median_ignoring_missing(per_metric[m]) for m in METRICS
+    return {
+        instrument: {
+            m: median_ignoring_missing(list(table.column(instrument, m).values()))
+            for m in METRICS
         }
-    return summary
+        for instrument in table.instruments()
+    }
 
 
 def summary_to_csv(summary: Mapping[str, Mapping[str, float]], metadata: Mapping[str, str]) -> str:

@@ -146,7 +146,8 @@ def check_cola(config: StftConfig) -> ColaReport:
     return _cola_report(config.window_kind, config.window_size, config.hop_size)
 
 
-def _require_cola(config: StftConfig) -> None:
+def require_cola(config: StftConfig) -> None:
+    """Raise ConfigurationError unless ``config`` satisfies constant overlap-add."""
     report = check_cola(config)
     if not report.passed:
         raise ConfigurationError(
@@ -201,7 +202,7 @@ def stft(clip: AudioClip, config: StftConfig = StftConfig()) -> Spectrogram:
     """
     if clip.n_samples == 0:
         raise InvalidInputError("cannot transform an empty clip")
-    _require_cola(config)
+    require_cola(config)
 
     win = window_values(config)
     ws, hop = config.window_size, config.hop_size
@@ -220,7 +221,7 @@ def istft(spec: Spectrogram, target_length: int | None = None) -> AudioClip:
     :class:`InvalidInputError`.
     """
     config = spec.config
-    _require_cola(config)
+    require_cola(config)
     if target_length is None:
         target_length = spec.original_length
     if target_length < 0:

@@ -21,6 +21,7 @@ from separability.cli import DEFAULT_RATIOS, _curve_csv, main
 from separability.synth import write_fixture_dataset
 
 FAST_FLAGS = ["--fast-metrics", "--window-size", "1024", "--hop", "256"]
+CSV_HEADER_LINE = "song_id,instrument,si_sdr,sdr,sir,isr,sar\n"
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +348,15 @@ def test_curve_writes_unsigned_zero_like_scores_csv():
     assert table.to_csv().splitlines()[-1].startswith("a,bass,0.000000,")
 
 
+def test_analyze_refuses_a_hop_without_overlap_add_before_any_work(tiny_dataset, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(out_dir), "--hop", "4096"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "window 'hann' size 4096 does not satisfy constant overlap-add at hop 4096" in err
+    assert not out_dir.exists()
+
+
 def test_analyze_without_dataset_or_manifest_is_a_usage_error(capsys):
     assert main(["analyze"]) == 2
     assert "need --dataset or --manifest" in capsys.readouterr().err
@@ -497,6 +507,31 @@ def test_table_with_comma_in_a_label_is_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,abc,1,1,1,1\n", "error: line 2: "),
+        ("select", "scores.json", "{not json", "error: not a JSON score table: "),
+        ("correlate", "scores.json", "[1, 2]", "error: expected a JSON object at the top level"),
+    ],
+    ids=["csv-cell", "not-json", "json-list"],
+)
+def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
+    scores = tmp_path / name
+    scores.write_text(text)
+    out = tmp_path / "out"
+    pick = ["--scores", str(scores), "--metric", "si_sdr", "--instrument", "bass"]
+    argv = {
+        "rank": ["rank", *pick],
+        "select": ["select", *pick, "--criterion", "top", "--fraction", "0.5"],
+        "correlate": ["correlate", str(scores), str(scores)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 # -- mute-plan ----------------------------------------------------------
 
 
@@ -595,3 +630,56 @@ def test_bad_env_value_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("SEPARABILITY_WINDOW_SIZE", "not-a-number")
     assert main(["check-cola"]) == 2
     assert "SEPARABILITY_WINDOW_SIZE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value, key, expected",
+    [
+        ("WINDOW_SIZE", "8192", "window_size", "8192"),
+        ("HOP", "512", "hop_size", "512"),
+        ("WINDOW_KIND", "rect", "window_kind", "rect"),
+        ("ALPHA", "1.0", "alpha", "1.0"),
+        ("ZERO_BIN_POLICY", "zero", "zero_bin_policy", "zero"),
+        ("FILTER_LEN", "3", "filter_length", "3"),
+        ("FAST_METRICS", "yes", "filter_length", "1"),
+        ("SEED", "7", "seed", "7"),
+    ],
+)
+def test_env_variable_reaches_the_scores_header(
+    tiny_dataset, tmp_path, monkeypatch, name, value, key, expected
+):
+    monkeypatch.setenv(f"SEPARABILITY_{name}", value)
+    argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path)]
+    if name not in ("FILTER_LEN", "FAST_METRICS"):
+        argv += ["--filter-len", "2"]
+    assert main(argv) == 0
+    assert _metadata_lines((tmp_path / "scores.csv").read_text())[key] == expected
+
+
+@pytest.mark.parametrize("name", ["DATASET", "MANIFEST"])
+def test_env_variable_names_the_dataset(tiny_dataset, tmp_path, monkeypatch, name):
+    manifest = tiny_dataset / "manifest.tsv"
+    monkeypatch.setenv(f"SEPARABILITY_{name}", str(tiny_dataset if name == "DATASET" else manifest))
+    assert main(["analyze", "--out", str(tmp_path)] + FAST_FLAGS) == 0
+    meta = _metadata_lines((tmp_path / "scores.csv").read_text())
+    assert (meta["dataset"], meta["manifest"]) == (str(tiny_dataset), str(manifest))
+
+
+def test_env_variable_names_the_output_directory(tiny_dataset, tmp_path, monkeypatch):
+    monkeypatch.setenv("SEPARABILITY_OUT", str(tmp_path / "from_env"))
+    assert main(["analyze", "--dataset", str(tiny_dataset)] + FAST_FLAGS) == 0
+    assert (tmp_path / "from_env" / "scores.csv").exists()
+
+
+def test_env_variable_sets_the_worker_count(tiny_dataset, tmp_path, monkeypatch):
+    seen = []
+
+    def serial(jobs, workers):
+        seen.append(workers)
+        return [cli._song_job(job) for job in jobs]
+
+    monkeypatch.setattr(cli, "_pool_results", serial)
+    monkeypatch.setenv("SEPARABILITY_WORKERS", "3")
+    argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path)] + FAST_FLAGS
+    assert main(argv) == 0
+    assert seen == [3]
