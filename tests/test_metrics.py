@@ -34,7 +34,10 @@ def _tones(n=2000):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kwargs", [{"filter_length": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"filter_length": -512}, {"filter_length": -1}, {"filter_length": 0}],
+    )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             MetricConfig(**kwargs)
