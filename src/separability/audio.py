@@ -68,10 +68,17 @@ class AudioClip:
             raise InvalidInputError(
                 f"window [{start}, {stop}) outside clip of {self.n_samples} samples"
             )
-        # A slice of a validated clip needs no second validation.
+        return AudioClip._from_validated(self.samples[:, start:stop].copy(), self.sample_rate)
+
+    @staticmethod
+    def _from_validated(samples: np.ndarray, sample_rate: int) -> "AudioClip":
+        """Wrap samples cut from validated clips, which need no second validation.
+
+        ``samples`` must already be a C-contiguous (channels, samples)
+        float64 array of finite values; it is marked read-only.
+        """
         clip = object.__new__(AudioClip)
-        samples = self.samples[:, start:stop].copy()
         samples.setflags(write=False)
         object.__setattr__(clip, "samples", samples)
-        object.__setattr__(clip, "sample_rate", self.sample_rate)
+        object.__setattr__(clip, "sample_rate", sample_rate)
         return clip

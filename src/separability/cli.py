@@ -133,19 +133,24 @@ def _load_table(path: Path) -> ScoreTable:
 # -- configuration -----------------------------------------------------
 
 
+def _given(**fields) -> dict:
+    """The fields whose flag was given; every other one keeps its class default."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
+def _stft_config(args) -> StftConfig:
+    return StftConfig(
+        **_given(window_size=args.window_size, hop_size=args.hop, window_kind=args.window_kind)
+    )
+
+
 def _configs(args) -> tuple[StftConfig, OracleConfig, MetricConfig]:
-    """The configs of the DSP flags given; every other field keeps its class default."""
-
-    def given(**fields):
-        return {name: value for name, value in fields.items() if value is not None}
-
+    """The configs of the DSP flags given."""
     filter_length = 1 if args.fast_metrics else args.filter_len
     return (
-        StftConfig(
-            **given(window_size=args.window_size, hop_size=args.hop, window_kind=args.window_kind)
-        ),
-        OracleConfig(**given(alpha=args.alpha, zero_bin_policy=args.zero_bin_policy)),
-        MetricConfig(**given(filter_length=filter_length)),
+        _stft_config(args),
+        OracleConfig(**_given(alpha=args.alpha, zero_bin_policy=args.zero_bin_policy)),
+        MetricConfig(**_given(filter_length=filter_length)),
     )
 
 
@@ -512,7 +517,7 @@ def cmd_mute_plan(args) -> int:
 
 
 def cmd_check_cola(args) -> int:
-    stft_config, _, _ = _configs(args)
+    stft_config = _stft_config(args)
     report = check_cola(stft_config)
     verdict = "PASS" if report.passed else "FAIL"
     print(
@@ -533,10 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    framing = argparse.ArgumentParser(add_help=False)
+    framing.add_argument("--window-size", type=int, help="analysis window length in samples")
+    framing.add_argument("--hop", type=int, help="analysis hop in samples")
+    framing.add_argument("--window-kind", choices=WINDOW_KINDS, help="window taper")
+
     dsp = argparse.ArgumentParser(add_help=False)
-    dsp.add_argument("--window-size", type=int, help="analysis window length in samples")
-    dsp.add_argument("--hop", type=int, help="analysis hop in samples")
-    dsp.add_argument("--window-kind", choices=WINDOW_KINDS, help="window taper")
     dsp.add_argument("--alpha", type=float, help="mask magnitude exponent")
     dsp.add_argument(
         "--zero-bin-policy", choices=ZERO_BIN_POLICIES, help="mask value at all-silent bins"
@@ -552,7 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     seed_arg = argparse.ArgumentParser(add_help=False)
     seed_arg.add_argument("--seed", type=int, help="random seed (default 0)")
 
-    p = sub.add_parser("analyze", parents=[dsp, seed_arg], help="score every song of a dataset")
+    p = sub.add_parser(
+        "analyze", parents=[framing, dsp, seed_arg], help="score every song of a dataset"
+    )
     p.add_argument("--dataset", help="dataset root directory")
     p.add_argument("--manifest", help="manifest path (default <dataset>/manifest.tsv)")
     p.add_argument("--out", help="output directory (default separability_out)")
@@ -599,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default separability_out)")
     p.set_defaults(func=cmd_mute_plan)
 
-    p = sub.add_parser("check-cola", parents=[dsp], help="report the overlap-add condition")
+    p = sub.add_parser("check-cola", parents=[framing], help="report the overlap-add condition")
     p.set_defaults(func=cmd_check_cola)
 
     return parser

@@ -102,16 +102,18 @@ def compute_irm(
             f"{len(source_ids)} source ids for {len(source_specs)} spectrograms"
         )
 
-    energies = np.stack([np.abs(spec.bins) ** config.alpha for spec in source_specs])
-    denom = energies.sum(axis=0)
-    silent = denom == 0.0
+    # |X_j|^alpha goes straight into its slot and becomes the mask in place.
     n = len(source_specs)
+    masks = np.empty((n, *first.bins.shape))
+    for mask, spec in zip(masks, source_specs):
+        np.abs(spec.bins, out=mask)
+        mask **= config.alpha
+    denom = masks.sum(axis=0)
+    silent = denom == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        masks = energies / denom
-    if config.zero_bin_policy == "uniform":
-        masks[:, silent] = 1.0 / n
-    else:
-        masks[:, silent] = 0.0
+        masks /= denom
+    if silent.any():
+        masks[:, silent] = 1.0 / n if config.zero_bin_policy == "uniform" else 0.0
     return MaskSet(masks, tuple(source_ids), config)
 
 
@@ -176,8 +178,13 @@ def oracle_separate(
             stft(AudioClip(_padded_segment(clip.samples, start, stop, pad), rate), block_config)
             for clip in (mixture, *stems)
         ]
+        # Each spectrogram is released as soon as nothing further needs it.
         mask_set = compute_irm(stem_specs, oracle_config)
-        for out, spec in zip(estimates, apply_masks(mask_set, mix_spec)):
-            out[:, done - pad : end - pad] = istft(spec).samples[:, done - start : end - start]
+        del stem_specs
+        masked = apply_masks(mask_set, mix_spec)
+        del mask_set, mix_spec
+        for out in estimates:
+            inverse = istft(masked.pop(0))
+            out[:, done - pad : end - pad] = inverse.samples[:, done - start : end - start]
         done, a = end, b - overlap
     return [AudioClip(out, rate) for out in estimates]

@@ -132,11 +132,13 @@ def _lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
 
     fx = spectra(x)
     fy = spectra(y)[:, :n_blocks]
+    np.conjugate(fy, out=fy)
     # Spectrum of the 2B-sample stretch of x starting at each block: the
     # next block enters delayed by B, a factor (-1)^f on a 2B-point grid.
     sign = np.where(np.arange(block + 1) % 2, -1.0, 1.0)
-    segments = fx[:, :-1] + sign * fx[:, 1:]
-    cross = np.matmul(segments.transpose(2, 0, 1), fy.conj().transpose(2, 1, 0))
+    segments = sign * fx[:, 1:]
+    segments += fx[:, :-1]
+    cross = np.matmul(segments.transpose(2, 0, 1), fy.transpose(2, 1, 0))
     return np.fft.irfft(cross, 2 * block, axis=0)[:max_lag]
 
 
@@ -434,6 +436,9 @@ def _stacked(references: Sequence[AudioClip], estimate: AudioClip) -> np.ndarray
 
 
 def _zero_padded(x: np.ndarray, length: int) -> np.ndarray:
+    """x zero-extended to ``length`` samples; x itself when it already has them."""
+    if x.shape[1] == length:
+        return x
     out = np.zeros((x.shape[0], length))
     out[:, : x.shape[1]] = x
     return out
@@ -505,39 +510,41 @@ def _energy(x: np.ndarray) -> float:
     return float(np.sum(x**2))
 
 
-def _ratio(metric: str, s: np.ndarray, components: ErrorComponents) -> float:
-    """SDR, ISR, SIR or SAR in dB against the zero-padded target s; NaN if s is silent."""
+def _ratios(s: np.ndarray, components: ErrorComponents) -> dict[str, float]:
+    """SDR, ISR, SIR and SAR in dB against the zero-padded target s; NaN if s is silent.
+
+    Each sum of components and each energy is computed once.
+    """
     target = _energy(s)
     if target == 0.0:
-        return math.nan
-    if metric == "sdr":
-        return _db_ratio(target, _energy(components.total_error))
-    if metric == "isr":
-        return _db_ratio(target, _energy(components.e_spat))
-    if metric == "sir":
-        return _db_ratio(_energy(s + components.e_spat), _energy(components.e_interf))
-    num = _energy(s + components.e_spat + components.e_interf)
-    return _db_ratio(num, _energy(components.e_artif))
+        return dict.fromkeys(("sdr", "isr", "sir", "sar"), math.nan)
+    spatial = s + components.e_spat
+    return {
+        "sdr": _db_ratio(target, _energy(components.total_error)),
+        "isr": _db_ratio(target, _energy(components.e_spat)),
+        "sir": _db_ratio(_energy(spatial), _energy(components.e_interf)),
+        "sar": _db_ratio(_energy(spatial + components.e_interf), _energy(components.e_artif)),
+    }
 
 
 def sdr(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of target energy to total error energy, in dB."""
-    return _ratio("sdr", _padded_target(components, reference), components)
+    return _ratios(_padded_target(components, reference), components)["sdr"]
 
 
 def isr(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of target energy to spatial-distortion energy, in dB."""
-    return _ratio("isr", _padded_target(components, reference), components)
+    return _ratios(_padded_target(components, reference), components)["isr"]
 
 
 def sir(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of spatially-distorted target energy to interference energy, in dB."""
-    return _ratio("sir", _padded_target(components, reference), components)
+    return _ratios(_padded_target(components, reference), components)["sir"]
 
 
 def sar(components: ErrorComponents, reference: AudioClip) -> float:
     """Ratio of artifact-free estimate energy to artifact energy, in dB."""
-    return _ratio("sar", _padded_target(components, reference), components)
+    return _ratios(_padded_target(components, reference), components)["sar"]
 
 
 def si_sdr(estimate: AudioClip, reference: AudioClip) -> float:
@@ -648,20 +655,20 @@ def framewise_scores(
     report.silent_windows = [0] * n_sources
     report.tail_samples_unscored = first.n_samples - bounds[-1][1]
 
+    rate = first.sample_rate
     for w, (start, stop) in enumerate(bounds):
-        ref_windows = [ref.window(start, stop) for ref in references]
+        # The one copy of each window; everything below works on views of it.
+        refs = np.stack([ref.samples[:, start:stop] for ref in references])
         active = []
         for j in range(n_sources):
-            if _mean_square(ref_windows[j].samples) >= config.silence_threshold:
+            if _mean_square(refs[j]) >= config.silence_threshold:
                 active.append(j)
             else:
                 report.silent_windows[j] += 1
         if not active:
             continue
         report.windows_scored += 1
-        refs = np.stack([r.samples for r in ref_windows])
-        est_windows = {j: estimates[j].window(start, stop) for j in active}
-        ests = np.stack([est_windows[j].samples for j in active])
+        ests = np.stack([estimates[j].samples[:, start:stop] for j in active])
         proj = _project_window(refs, ests, active, config.filter_length)
         paths = (proj.all_path,) + proj.target_paths
         report.dense_fallback += proj.all_path != "levinson"
@@ -672,9 +679,11 @@ def framewise_scores(
             comp = _components(
                 s_true, ests[t], proj.p_target[t], proj.p_all[t], proj.used_ridge(t)
             )
-            columns["si_sdr"][j, w] = si_sdr(est_windows[j], ref_windows[j])
-            for name in ("sdr", "sir", "isr", "sar"):
-                columns[name][j, w] = _ratio(name, s_true, comp)
+            columns["si_sdr"][j, w] = si_sdr(
+                AudioClip._from_validated(ests[t], rate), AudioClip._from_validated(refs[j], rate)
+            )
+            for name, value in _ratios(s_true, comp).items():
+                columns[name][j, w] = value
 
     return [
         FrameScores(**{name: columns[name][j] for name in METRICS})

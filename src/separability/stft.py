@@ -190,6 +190,31 @@ def _frame_count(n_samples: int, config: StftConfig) -> int:
     return -(-reach // config.hop_size) + 1
 
 
+# The block-streamed oracle inverts every full block at one frame count and
+# the song's last block at another, so a few entries serve it; each holds
+# about nine bytes per synthesized sample.
+@functools.lru_cache(maxsize=4)
+def _synthesis_weight(
+    kind: str, size: int, hop: int, n_frames: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared-window sum over ``n_frames`` overlap-added frames (read-only).
+
+    Returns the sum, the mask of samples it covers, and the indices of
+    the rest.  The inverse divides by the sum where it covers a sample;
+    samples with no effective window coverage are zeroed rather than
+    amplified.
+    """
+    wsq_frame = _window_values(kind, size) ** 2
+    wsq = np.zeros((n_frames - 1) * hop + size)
+    for t in range(n_frames):
+        wsq[t * hop : t * hop + size] += wsq_frame
+    covered = wsq > wsq.max() * 1e-12
+    uncovered = np.flatnonzero(~covered)
+    for arr in (wsq, covered, uncovered):
+        arr.setflags(write=False)
+    return wsq, covered, uncovered
+
+
 def stft(clip: AudioClip, config: StftConfig = StftConfig()) -> Spectrogram:
     """Forward transform of a clip under the given framing configuration.
 
@@ -240,16 +265,10 @@ def istft(spec: Spectrogram, target_length: int | None = None) -> AudioClip:
     frames = np.fft.irfft(spec.bins, n=ws, axis=-1)
     frames *= win
     out = np.zeros((n_channels, total))
-    wsq = np.zeros(total)
-    wsq_frame = win**2
     for t in range(n_frames):
-        sl = slice(t * hop, t * hop + ws)
-        out[:, sl] += frames[:, t, :]
-        wsq[sl] += wsq_frame
-    # Per-sample normalization by the squared-window sum; samples with no
-    # effective window coverage are zeroed rather than amplified.
-    covered = wsq > wsq.max() * 1e-12
+        out[:, t * hop : t * hop + ws] += frames[:, t, :]
+    wsq, covered, uncovered = _synthesis_weight(config.window_kind, ws, hop, n_frames)
     np.divide(out, wsq, out=out, where=covered)
-    out[:, ~covered] = 0.0
+    out[:, uncovered] = 0.0
     start = config.pad
     return AudioClip(out[:, start : start + target_length], spec.sample_rate)

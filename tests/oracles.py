@@ -7,6 +7,10 @@ definitions, ranks are assigned by counting.  Slow is fine; different is
 the point.  The exception is ``whole_song_oracle_separate``, which pins
 how the oracle is blocked rather than the transforms it uses, and so
 calls the package's own STFT, masks and inverse on the whole song.
+``stacked_masks`` and ``overlap_add_inverse`` are the straightforward
+forms of the mask and inverse-transform steps, which the package
+computes in place and from a cached synthesis weight: the two must agree
+bit for bit.
 """
 
 import math
@@ -14,6 +18,7 @@ import math
 import numpy as np
 
 from separability import OracleConfig, StftConfig, apply_masks, compute_irm, istft, stft
+from separability.stft import window_values
 
 
 def delayed_matrix(regressors: np.ndarray, flen: int) -> np.ndarray:
@@ -63,12 +68,8 @@ def db(num: float, den: float, cap: float = 300.0) -> float:
     return min(max(10.0 * math.log10(num / den), -cap), cap)
 
 
-def dense_metrics(refs: np.ndarray, estimate: np.ndarray, target: int, flen: int):
-    """The four decomposition metrics straight from the dense projections."""
-    e_spat, e_interf, e_artif = dense_decompose(refs, estimate, target, flen)
-    c, n = estimate.shape
-    s = np.zeros((c, n + flen - 1))
-    s[:, :n] = refs[target]
+def bss_ratios(s, e_spat, e_interf, e_artif) -> dict:
+    """SDR, ISR, SIR and SAR of one split, each from its own textbook formula."""
 
     def en(x):
         return float(np.sum(x**2))
@@ -79,6 +80,14 @@ def dense_metrics(refs: np.ndarray, estimate: np.ndarray, target: int, flen: int
         "sir": db(en(s + e_spat), en(e_interf)),
         "sar": db(en(s + e_spat + e_interf), en(e_artif)),
     }
+
+
+def dense_metrics(refs: np.ndarray, estimate: np.ndarray, target: int, flen: int):
+    """The four decomposition metrics straight from the dense projections."""
+    c, n = estimate.shape
+    s = np.zeros((c, n + flen - 1))
+    s[:, :n] = refs[target]
+    return bss_ratios(s, *dense_decompose(refs, estimate, target, flen))
 
 
 def direct_pearson(x, y) -> float:
@@ -114,3 +123,33 @@ def whole_song_oracle_separate(
     stem_specs = [stft(s, stft_config) for s in stems]
     mask_set = compute_irm(stem_specs, oracle_config, source_ids)
     return [istft(spec) for spec in apply_masks(mask_set, mix_spec)]
+
+
+def stacked_masks(source_specs, config=OracleConfig()) -> np.ndarray:
+    """Ratio masks the straightforward way: stack every |X_j|^alpha, then divide."""
+    energies = np.stack([np.abs(spec.bins) ** config.alpha for spec in source_specs])
+    denom = energies.sum(axis=0)
+    silent = denom == 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        masks = energies / denom
+    masks[:, silent] = 1.0 / len(source_specs) if config.zero_bin_policy == "uniform" else 0.0
+    return masks
+
+
+def overlap_add_inverse(spec) -> np.ndarray:
+    """Inverse transform that builds its squared-window sum on every call."""
+    config = spec.config
+    win = window_values(config)
+    ws, hop = config.window_size, config.hop_size
+    total = (spec.n_frames - 1) * hop + ws
+    frames = np.fft.irfft(spec.bins, n=ws, axis=-1)
+    frames *= win
+    out = np.zeros((spec.n_channels, total))
+    wsq = np.zeros(total)
+    for t in range(spec.n_frames):
+        out[:, t * hop : t * hop + ws] += frames[:, t, :]
+        wsq[t * hop : t * hop + ws] += win**2
+    covered = wsq > wsq.max() * 1e-12
+    np.divide(out, wsq, out=out, where=covered)
+    out[:, ~covered] = 0.0
+    return out[:, config.pad : config.pad + spec.original_length]

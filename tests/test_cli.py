@@ -66,6 +66,23 @@ def test_check_cola_rect_half_overlap_passes():
     assert main(args) == 0
 
 
+def test_check_cola_ignores_mask_and_metric_variables(monkeypatch, capsys):
+    monkeypatch.setenv("SEPARABILITY_ALPHA", "-1")
+    monkeypatch.setenv("SEPARABILITY_FILTER_LEN", "0")
+    assert main(["check-cola"]) == 0
+    assert capsys.readouterr().out.startswith("PASS: window=hann size=4096 hop=1024")
+
+
+@pytest.mark.parametrize(
+    "flag", [["--alpha", "2"], ["--zero-bin-policy", "zero"], ["--filter-len", "3"], ["--fast-metrics"]]
+)
+def test_check_cola_takes_only_framing_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-cola", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # -- analyze ------------------------------------------------------------
 
 

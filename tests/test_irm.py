@@ -13,6 +13,9 @@ from separability import (
     oracle_separate,
     stft,
 )
+from separability.irm import ZERO_BIN_POLICIES
+
+from oracles import stacked_masks
 
 CFG = StftConfig(256, 64)
 
@@ -74,6 +77,24 @@ class TestMaskInvariants:
         _, specs = _specs(0, 2)
         mask_set = compute_irm(specs, source_ids=("bass", "drums"))
         assert mask_set.source_ids == ("bass", "drums")
+
+
+class TestMasksMatchStackedFormula:
+    """compute_irm works in place; its masks must keep the stacked formula's bits."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("policy", ZERO_BIN_POLICIES)
+    @pytest.mark.parametrize("silent_bins", [False, True])
+    def test_bit_identical(self, alpha, policy, silent_bins):
+        samples = np.random.default_rng(7).normal(0.0, 0.4, (4, 2, 3000))
+        if silent_bins:
+            # Every stem silent for longer than a frame: all-silent bins.
+            samples[:, :, 1000:1800] = 0.0
+        specs = [stft(AudioClip(s, 44100), CFG) for s in samples]
+        assert np.all([spec.bins == 0.0 for spec in specs], axis=0).any() == silent_bins
+        config = OracleConfig(alpha, policy)
+        masks = compute_irm(specs, config).masks
+        assert masks.tobytes() == stacked_masks(specs, config).tobytes()
 
 
 class TestValidation:

@@ -20,8 +20,10 @@ from separability import (
     si_sdr,
     sir,
 )
-from separability.metrics import median_ignoring_missing
+from separability.metrics import METRICS, ErrorComponents, _project_window, median_ignoring_missing
 from separability.synth import periodic_tone
+
+from oracles import bss_ratios
 
 FAST = MetricConfig(filter_length=1)
 
@@ -215,6 +217,64 @@ class TestFramewise:
             framewise_scores(refs, ests[:1], FAST)
         with pytest.raises(InvalidInputError):
             framewise_scores([], [], FAST)
+
+
+def _per_window_splits(references, estimates, config):
+    """framewise_scores the long way: a copy of every window, the projection
+    of its active stems, and the split of each one into zero-padded arrays.
+    Yields (window, stem, padded target, split, reference window,
+    estimate window)."""
+    win = references[0].sample_rate  # 1-second windows
+    for w in range(references[0].n_samples // win):
+        ref_w = [clip.window(w * win, (w + 1) * win) for clip in references]
+        est_w = [clip.window(w * win, (w + 1) * win) for clip in estimates]
+        active = [
+            j for j, r in enumerate(ref_w)
+            if np.mean(r.samples**2) >= MetricConfig.silence_threshold
+        ]
+        refs = np.stack([r.samples for r in ref_w])
+        ests = np.stack([est_w[j].samples for j in active])
+        proj = _project_window(refs, ests, active, config.filter_length)
+        for t, j in enumerate(active):
+            s = np.zeros(proj.p_all[t].shape)
+            s[:, :win] = refs[j]
+            e = np.zeros_like(s)
+            e[:, :win] = ests[t]
+            comp = ErrorComponents(
+                proj.p_target[t] - s, proj.p_all[t] - proj.p_target[t], e - proj.p_all[t]
+            )
+            yield w, j, s, comp, ref_w[j], est_w[j]
+
+
+class TestFramewiseMatchesPerWindowCalls:
+    """framewise_scores cuts, splits and scores each window in one pass; every
+    score must keep the bits of the per-window public calls on the same
+    projection, and of each metric's own formula."""
+
+    @pytest.mark.parametrize("filter_length", [1, 25])
+    def test_bit_identical(self, rng, filter_length):
+        sr = 8000
+        n = 3 * sr + 500
+        refs = rng.normal(0.0, 0.5, (4, 2, n))
+        refs[2, :, sr : 2 * sr] = 0.0  # stem 2 is silent in window 1
+        mixing = np.eye(4) + rng.uniform(0.0, 0.2, (4, 4))
+        ests = np.einsum("jk,kcn->jcn", mixing, refs) + rng.normal(0.0, 0.05, (4, 2, n))
+        references = [AudioClip(r, sr) for r in refs]
+        estimates = [AudioClip(e, sr) for e in ests]
+        config = MetricConfig(filter_length)
+        frames = framewise_scores(references, estimates, config)
+        expected = np.full((5, 4, 3), np.nan)
+        for w, j, s, comp, ref, est in _per_window_splits(references, estimates, config):
+            ratios = bss_ratios(s, comp.e_spat, comp.e_interf, comp.e_artif)
+            public = {"sdr": sdr, "isr": isr, "sir": sir, "sar": sar}
+            assert {name: fn(comp, ref) for name, fn in public.items()} == ratios
+            ratios["si_sdr"] = si_sdr(est, ref)
+            for m, name in enumerate(METRICS):
+                expected[m, j, w] = ratios[name]
+        assert np.isnan(expected).sum() == 5  # only stem 2 in window 1
+        for m, name in enumerate(METRICS):
+            for j in range(4):
+                assert frames[j].values(name).tobytes() == expected[m, j].tobytes(), (name, j)
 
 
 class TestAggregation:

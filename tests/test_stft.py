@@ -13,6 +13,8 @@ from separability import (
 )
 from separability.stft import window_values
 
+from oracles import overlap_add_inverse
+
 
 def _clip(gen, n_samples, n_channels=1):
     return AudioClip(gen.normal(0.0, 0.5, (n_channels, n_samples)), 44100)
@@ -123,6 +125,28 @@ class TestRoundTrip:
         cfg = StftConfig(256, 64)
         doubled = stft(AudioClip(2.0 * clip.samples, 44100), cfg)
         assert np.allclose(doubled.bins, 2.0 * stft(clip, cfg).bins, atol=1e-12)
+
+
+class TestCachedSynthesisWeight:
+    """istft reads its squared-window sum from a cache; the bits must not move."""
+
+    @pytest.mark.parametrize(
+        "config", [StftConfig(4096, 1024), StftConfig(16, 16, "rect"), StftConfig(9, 3)]
+    )
+    @pytest.mark.parametrize("n_frames", [2, 3, 5, 67])
+    def test_matches_uncached_inverse(self, rng, config, n_frames):
+        n_samples = (n_frames - 1) * config.hop_size + config.window_size - 2 * config.pad
+        for _ in range(2):  # the second call reads the cache the first one filled
+            spec = stft(_clip(rng, n_samples, 2), config)
+            assert spec.n_frames == n_frames
+            out = istft(spec)
+            assert out.samples.tobytes() == overlap_add_inverse(spec).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        from separability.stft import _synthesis_weight
+
+        for array in _synthesis_weight("hann", 9, 3, 5):
+            assert array.flags.writeable is False
 
 
 class TestValidation:
