@@ -101,6 +101,44 @@ class TestDecomposeCases:
         assert np.max(np.abs(reconstructed - e_pad)) < 1e-9
 
 
+def _near_zero_db_split(rng, metric):
+    """A short split whose ``metric`` lies ~4e-9 dB from 0 dB, where one ulp
+    of the score is ~1e-24 dB: a last-bit change in any of its energies,
+    which over a few samples a reordered sum often makes, shows."""
+    s, e_spat, e_interf, e_artif = rng.normal(0.0, 1.0, (4, 2, 4))
+
+    def en(x):
+        return float(np.sum(x**2))
+
+    def scaled(x, energy):
+        return x * math.sqrt(energy * (1.0 + 1e-9) / en(x))
+
+    if metric == "isr":
+        e_spat = scaled(e_spat, en(s))
+    elif metric == "sir":
+        e_interf = scaled(e_interf, en(s + e_spat))
+    elif metric == "sar":
+        e_artif = scaled(e_artif, en(s + e_spat + e_interf))
+    else:
+        c = math.sqrt(en(s) * (1.0 + 1e-9) / en(e_spat + e_interf + e_artif))
+        e_spat, e_interf, e_artif = c * e_spat, c * e_interf, c * e_artif
+    return s, ErrorComponents(e_spat, e_interf, e_artif)
+
+
+class TestRatioFormulas:
+    """sdr, isr, sir and sar share one computation; each must keep its own
+    formula's operand order, which shows in the last bits near 0 dB."""
+
+    @pytest.mark.parametrize("metric", ["sdr", "isr", "sir", "sar"])
+    def test_bit_identical_near_zero_db(self, rng, metric):
+        fn = {"sdr": sdr, "isr": isr, "sir": sir, "sar": sar}[metric]
+        for _ in range(50):
+            s, comp = _near_zero_db_split(rng, metric)
+            value = fn(comp, AudioClip(s, 8000))
+            assert abs(value) < 1e-6
+            assert value == bss_ratios(s, comp.e_spat, comp.e_interf, comp.e_artif)[metric]
+
+
 class TestSiSdr:
     def test_scaled_copy_is_perfect(self):
         target, _, _ = _tones()
