@@ -135,10 +135,12 @@ def _lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     np.conjugate(fy, out=fy)
     # Spectrum of the 2B-sample stretch of x starting at each block: the
     # next block enters delayed by B, a factor (-1)^f on a 2B-point grid.
+    # Built in place one block at a time, so block b + 1 is still x's own
+    # spectrum when block b adds it.
     sign = np.where(np.arange(block + 1) % 2, -1.0, 1.0)
-    segments = sign * fx[:, 1:]
-    segments += fx[:, :-1]
-    cross = np.matmul(segments.transpose(2, 0, 1), fy.transpose(2, 1, 0))
+    for b in range(n_blocks):
+        fx[:, b] += sign * fx[:, b + 1]
+    cross = np.matmul(fx[:, :-1].transpose(2, 0, 1), fy.transpose(2, 1, 0))
     return np.fft.irfft(cross, 2 * block, axis=0)[:max_lag]
 
 

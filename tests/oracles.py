@@ -7,10 +7,10 @@ definitions, ranks are assigned by counting.  Slow is fine; different is
 the point.  The exception is ``whole_song_oracle_separate``, which pins
 how the oracle is blocked rather than the transforms it uses, and so
 calls the package's own STFT, masks and inverse on the whole song.
-``stacked_masks`` and ``overlap_add_inverse`` are the straightforward
-forms of the mask and inverse-transform steps, which the package
-computes in place and from a cached synthesis weight: the two must agree
-bit for bit.
+``stacked_masks``, ``overlap_add_inverse`` and ``block_lag_correlations``
+are the straightforward forms of the mask, inverse-transform and
+block-FFT correlation steps, which the package computes in place and
+from a cached synthesis weight: each pair must agree bit for bit.
 """
 
 import math
@@ -153,3 +153,21 @@ def overlap_add_inverse(spec) -> np.ndarray:
     np.divide(out, wsq, out=out, where=covered)
     out[:, ~covered] = 0.0
     return out[:, config.pad : config.pad + spec.original_length]
+
+
+def block_lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int, block: int) -> np.ndarray:
+    """Lag correlations by the block-FFT formula, with whole-array temporaries."""
+    n = x.shape[-1]
+    n_blocks = -(-n // block)
+
+    def spectra(s):
+        padded = np.zeros((s.shape[0], (n_blocks + 1) * block))
+        padded[:, :n] = s
+        return np.fft.rfft(padded.reshape(s.shape[0], n_blocks + 1, block), 2 * block)
+
+    fx = spectra(x)
+    fy = spectra(y)[:, :n_blocks]
+    sign = np.where(np.arange(block + 1) % 2, -1.0, 1.0)
+    segments = fx[:, :-1] + sign * fx[:, 1:]
+    cross = np.matmul(segments.transpose(2, 0, 1), fy.conj().transpose(2, 1, 0))
+    return np.fft.irfft(cross, 2 * block, axis=0)[:max_lag]

@@ -16,6 +16,7 @@ from scipy.signal import fftconvolve
 from separability import AudioClip, MetricConfig, ScoringReport, framewise_scores
 from separability.metrics import (
     _DIRECT_MAX_LAG,
+    _MIN_BLOCK,
     _block_toeplitz_solve,
     _lag_correlations,
     _levinson,
@@ -24,7 +25,7 @@ from separability.metrics import (
 )
 from separability.synth import fixture_stem
 
-from oracles import dense_metrics
+from oracles import block_lag_correlations, dense_metrics
 
 
 def direct_lags(x: np.ndarray, y: np.ndarray, flen: int) -> np.ndarray:
@@ -64,6 +65,16 @@ def test_lag_correlations_match_direct_sums(flen, n):
     assert got.shape == (flen, 5, 3)
     assert np.max(np.abs(got[: want.shape[0]] - want)) < 1e-12 * n
     assert np.max(np.abs(got[want.shape[0] :]), initial=0.0) < 1e-12 * n
+
+
+@pytest.mark.parametrize("flen", [_DIRECT_MAX_LAG + 1, 300, 512])
+def test_lag_correlations_keep_the_block_formula_bits(flen):
+    """The block segments and the conjugate are built in place; the bits must not move."""
+    gen = np.random.Generator(np.random.PCG64(flen))
+    x = gen.normal(size=(16, 44100))
+    y = x[:8]
+    want = block_lag_correlations(x, y, flen, max(flen, _MIN_BLOCK))
+    assert _lag_correlations(x, y, flen).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("flen", [1, 2, _DIRECT_MAX_LAG, _DIRECT_MAX_LAG + 1, 64, 512])
