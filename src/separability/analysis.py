@@ -180,7 +180,7 @@ def apply_mute_plan(song: MultitrackSong, plan: MutePlan) -> MultitrackSong:
     stems = dict(song.stems)
     clip = stems[plan.instrument]
     stems[plan.instrument] = AudioClip(np.zeros_like(clip.samples), clip.sample_rate)
-    return MultitrackSong(song.song_id, stems, None)
+    return MultitrackSong(song.song_id, stems)
 
 
 def _drop_missing_pairs(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

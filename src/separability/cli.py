@@ -81,18 +81,20 @@ def _parse_bool(raw: str) -> bool:
 
 
 # The flags an environment variable can supply, by argparse dest: the
-# variable is ENV_PREFIX + dest.upper(), and its text goes through the cast.
+# variable is ENV_PREFIX + key.upper(), and its text goes through the cast.
+# FAST_METRICS feeds filter_len, as its flag does, and wins over FILTER_LEN.
 ENV_CASTS = {
-    "window_size": int, "hop": int, "window_kind": str, "alpha": float,
-    "zero_bin_policy": str, "filter_len": int, "fast_metrics": _parse_bool,
+    "window_size": int, "hop": int, "window_kind": str, "alpha": float, "zero_bin_policy": str,
+    "fast_metrics": lambda raw: 1 if _parse_bool(raw) else None, "filter_len": int,
     "seed": int, "out": str, "dataset": str, "manifest": str, "workers": int,
 }
+_ENV_DESTS = {"fast_metrics": "filter_len"}
 
 
 def _apply_environment(args) -> None:
     """Give every flag of the command that was not given its variable's value."""
-    for dest, cast in ENV_CASTS.items():
-        name = ENV_PREFIX + dest.upper()
+    for key, cast in ENV_CASTS.items():
+        name, dest = ENV_PREFIX + key.upper(), _ENV_DESTS.get(key, key)
         # A flag the command lacks is absent from args; one not given is None.
         if name in os.environ and dest in vars(args) and getattr(args, dest) is None:
             try:
@@ -146,11 +148,10 @@ def _stft_config(args) -> StftConfig:
 
 def _configs(args) -> tuple[StftConfig, OracleConfig, MetricConfig]:
     """The configs of the DSP flags given."""
-    filter_length = 1 if args.fast_metrics else args.filter_len
     return (
         _stft_config(args),
         OracleConfig(**_given(alpha=args.alpha, zero_bin_policy=args.zero_bin_policy)),
-        MetricConfig(**_given(filter_length=filter_length)),
+        MetricConfig(**_given(filter_length=args.filter_len)),
     )
 
 
@@ -237,8 +238,9 @@ def _openblas_thread_controls() -> tuple[tuple, ...]:
 
 def _pin_blas_threads() -> None:
     """Pool initializer: run every BLAS call of this worker on one thread."""
-    for _, set_threads in _openblas_thread_controls():
-        set_threads(1)
+    for get_threads, set_threads in _openblas_thread_controls():
+        if get_threads() != 1:  # a worker forked from the pinned parent is already
+            set_threads(1)
 
 
 @contextmanager
@@ -282,9 +284,8 @@ def _song_job(payload):
         song = load_song(song_dir, instruments)
         if normalize:
             song = normalize_loudness(song)
-        song = make_mixture(song)
         stems = [song.stems[inst] for inst in instruments]
-        estimates = oracle_separate(song.mixture, stems, stft_config, oracle_config)
+        estimates = oracle_separate(make_mixture(song), stems, stft_config, oracle_config)
         report = ScoringReport()
         frames = framewise_scores(stems, estimates, metric_config, report)
         return {
@@ -358,13 +359,13 @@ def cmd_analyze(args) -> int:
         (
             str(manifest.song_dir(song_id)),
             manifest.instruments,
-            manifest.split_of(song_id),
+            split,
             stft_config,
             oracle_config,
             metric_config,
             normalize,
         )
-        for song_id in sorted(manifest.song_ids())
+        for song_id, split in sorted(manifest.entries)
     ]
 
     with _one_blas_thread():
@@ -548,12 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
     dsp.add_argument(
         "--zero-bin-policy", choices=ZERO_BIN_POLICIES, help="mask value at all-silent bins"
     )
-    dsp.add_argument("--filter-len", type=int, help="distortion filter taps")
-    dsp.add_argument(
+    taps = dsp.add_mutually_exclusive_group()
+    taps.add_argument("--filter-len", type=int, help="distortion filter taps")
+    taps.add_argument(
         "--fast-metrics",
-        action="store_true",
-        default=None,
-        help="gain-only decomposition (filter length 1)",
+        dest="filter_len",
+        action="store_const",
+        const=1,
+        help="gain-only decomposition (same as --filter-len 1)",
     )
 
     seed_arg = argparse.ArgumentParser(add_help=False)

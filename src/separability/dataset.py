@@ -60,43 +60,32 @@ def write_wav(path: Path | str, clip: AudioClip) -> None:
 
 @dataclass(frozen=True)
 class MultitrackSong:
-    """One song: aligned per-instrument stems plus an optional mixture."""
+    """One song: its aligned per-instrument stems (``make_mixture`` derives the mixture)."""
 
     song_id: str
     stems: Mapping[str, AudioClip]
-    mixture: AudioClip | None = None
 
     def __post_init__(self):
         stems = dict(self.stems)
         if len(stems) < 2:
             raise DatasetError(f"song {self.song_id!r} needs at least 2 stems, got {len(stems)}")
-        clips = list(stems.values())
-        if self.mixture is not None:
-            clips.append(self.mixture)
-        first = clips[0]
-        for clip in clips[1:]:
+        object.__setattr__(self, "stems", stems)
+        first, *rest = stems.values()
+        for clip in rest:
             if (
                 clip.n_samples != first.n_samples
                 or clip.n_channels != first.n_channels
                 or clip.sample_rate != first.sample_rate
             ):
                 raise AlignmentError(
-                    f"song {self.song_id!r} has misaligned tracks: " + self.describe_tracks(stems)
+                    f"song {self.song_id!r} has misaligned tracks: " + self.describe_tracks()
                 )
-        object.__setattr__(self, "stems", stems)
 
-    def describe_tracks(self, stems: Mapping[str, AudioClip] | None = None) -> str:
-        stems = self.stems if stems is None else stems
-        parts = [
+    def describe_tracks(self) -> str:
+        return "; ".join(
             f"{name}: {clip.n_samples} samples, {clip.n_channels} ch, {clip.sample_rate} Hz"
-            for name, clip in stems.items()
-        ]
-        if self.mixture is not None:
-            parts.append(
-                f"mixture: {self.mixture.n_samples} samples, "
-                f"{self.mixture.n_channels} ch, {self.mixture.sample_rate} Hz"
-            )
-        return "; ".join(parts)
+            for name, clip in self.stems.items()
+        )
 
     @property
     def instruments(self) -> tuple[str, ...]:
@@ -107,17 +96,24 @@ class MultitrackSong:
         return next(iter(self.stems.values())).n_samples
 
 
+def _stem_files(song_dir: Path) -> dict[str, Path]:
+    """The song's stem WAVs by lower-cased name; ``mixture.wav`` is never a stem."""
+    files = {p.stem.lower(): p for p in sorted(song_dir.glob("*.wav"))}
+    files.pop(MIXTURE_NAME, None)
+    return files
+
+
 def load_song(song_dir: Path | str, expected_instruments: Sequence[str]) -> MultitrackSong:
     """Load a song directory, requiring one WAV per expected instrument.
 
     Filename matching is case-insensitive on the stem part.  Unexpected
-    audio files are skipped with a warning; a present mixture.wav is
-    loaded alongside the stems.
+    audio files are skipped with a warning.  A ``mixture.wav`` is skipped
+    silently and never read: the mixture is always the sum of the stems.
     """
     song_dir = Path(song_dir)
     if not song_dir.is_dir():
         raise DatasetError(f"song directory not found: {song_dir}")
-    wavs = {p.stem.lower(): p for p in sorted(song_dir.glob("*.wav"))}
+    wavs = _stem_files(song_dir)
     expected = [inst.lower() for inst in expected_instruments]
 
     stems: dict[str, AudioClip] = {}
@@ -127,37 +123,32 @@ def load_song(song_dir: Path | str, expected_instruments: Sequence[str]) -> Mult
             raise MissingStemError(f"song {song_dir.name!r} is missing stem {label!r}")
         stems[label] = read_wav(path)
     for key, path in wavs.items():
-        if key not in expected and key != MIXTURE_NAME:
+        if key not in expected:
             log.warning("song %r: ignoring unexpected file %s", song_dir.name, path.name)
 
-    mixture = None
-    if MIXTURE_NAME in wavs:
-        mixture = read_wav(wavs[MIXTURE_NAME])
-
-    return MultitrackSong(song_dir.name, stems, mixture)
+    return MultitrackSong(song_dir.name, stems)
 
 
 def normalize_loudness(song: MultitrackSong) -> MultitrackSong:
     """Rescale every non-silent stem to the mean RMS of the originals.
 
     Silent stems (exactly zero) pass through untouched and do not move
-    the mean.  Any previously attached mixture is dropped because it no
-    longer equals the sum of the rescaled stems.
+    the mean.
     """
     levels = {name: clip.rms() for name, clip in song.stems.items()}
     active = [v for v in levels.values() if v > 0.0]
     if not active:
-        return MultitrackSong(song.song_id, dict(song.stems), None)
+        return MultitrackSong(song.song_id, dict(song.stems))
     target = sum(active) / len(active)
     stems = {
         name: clip if levels[name] == 0.0 else clip.scaled(target / levels[name])
         for name, clip in song.stems.items()
     }
-    return MultitrackSong(song.song_id, stems, None)
+    return MultitrackSong(song.song_id, stems)
 
 
-def make_mixture(song: MultitrackSong) -> MultitrackSong:
-    """Attach the sample-wise sum of the stems as the song's mixture.
+def make_mixture(song: MultitrackSong) -> AudioClip:
+    """The song's mixture: the sample-wise sum of its stems, in stem order.
 
     No headroom normalization: the sum may exceed full scale and stays
     float, so separation sees exactly the sum of what it is asked to
@@ -168,7 +159,7 @@ def make_mixture(song: MultitrackSong) -> MultitrackSong:
     total = first.samples.copy()
     for clip in clips:
         total += clip.samples
-    return MultitrackSong(song.song_id, dict(song.stems), AudioClip(total, first.sample_rate))
+    return AudioClip(total, first.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -210,19 +201,15 @@ class DatasetManifest:
         return load_song(self.song_dir(song_id), self.instruments)
 
 
-def _discover_instruments(root: Path, song_ids: Sequence[str]) -> tuple[str, ...]:
-    # Instruments common to every song; per-song extras are reported at
-    # load time instead of silently shrinking the label set further.
-    common: set[str] | None = None
-    for song_id in song_ids:
+def _present_stems(root: Path, song_ids: Sequence[str]) -> dict[str, set[str]]:
+    """The stem names of every listed song, listing each directory once."""
+    present: dict[str, set[str]] = {}
+    for song_id in dict.fromkeys(song_ids):
         song_dir = root / song_id
         if not song_dir.is_dir():
             raise DatasetError(f"manifest lists {song_id!r} but {song_dir} does not exist")
-        names = {p.stem.lower() for p in song_dir.glob("*.wav")} - {MIXTURE_NAME}
-        common = names if common is None else common & names
-    if not common:
-        raise DatasetError("no instrument stems shared by every listed song")
-    return tuple(sorted(common))
+        present[song_id] = set(_stem_files(song_dir))
+    return present
 
 
 def load_manifest(
@@ -257,21 +244,25 @@ def load_manifest(
         raise DatasetError(f"{manifest_path}: no songs listed")
 
     song_ids = [song_id for song_id, _ in entries]
+    present = None
     if instruments is None:
-        instruments = _discover_instruments(root, song_ids)
+        present = _present_stems(root, song_ids)
+        # Instruments common to every song; per-song extras are reported at
+        # load time instead of silently shrinking the label set further.
+        instruments = tuple(sorted(set.intersection(*present.values())))
+        if not instruments:
+            raise DatasetError("no instrument stems shared by every listed song")
     for label in (*song_ids, *instruments):
         if "," in label:
             raise DatasetError(
                 f"{manifest_path}: {label!r} contains ',', which CSV cells cannot hold"
             )
+    if present is None:
+        present = _present_stems(root, song_ids)
 
-    for song_id in song_ids:
-        song_dir = root / song_id
-        if not song_dir.is_dir():
-            raise DatasetError(f"manifest lists {song_id!r} but {song_dir} does not exist")
-        present = {p.stem.lower() for p in song_dir.glob("*.wav")}
+    for song_id, names in present.items():
         for inst in instruments:
-            if inst.lower() not in present:
+            if inst.lower() not in names:
                 raise MissingStemError(f"song {song_id!r} is missing stem {inst!r}")
 
     return DatasetManifest(root, tuple(entries), tuple(instruments))

@@ -127,14 +127,10 @@ def window_values(config: StftConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _cola_report(kind: str, size: int, hop: int) -> ColaReport:
-    wsq = _window_values(kind, size) ** 2
     # Lay enough frames that positions [size, size + hop) see every frame
     # that can touch them; those positions are representative of the
     # infinite interior.
-    n_frames = size // hop + 3
-    cover = np.zeros((n_frames - 1) * hop + size)
-    for t in range(n_frames):
-        cover[t * hop : t * hop + size] += wsq
+    cover = _synthesis_weight(kind, size, hop, size // hop + 3)[0]
     interior = cover[size : size + hop]
     mean = float(interior.mean())
     deviation = float(interior.max() - interior.min()) / mean if mean > 0 else math.inf

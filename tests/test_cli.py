@@ -86,6 +86,13 @@ def test_check_cola_takes_only_framing_flags(flag, capsys):
 # -- analyze ------------------------------------------------------------
 
 
+def test_fast_metrics_and_filter_len_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--fast-metrics", "--filter-len", "25"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_analyze_exit_code_and_files(analyze_run):
     code, out_dir = analyze_run
     assert code == 0
@@ -223,6 +230,26 @@ def test_analyze_broken_song_fails_softly(tmp_path, capsys):
     assert log["scores"] == {}
 
 
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_analyze_never_reads_a_mixture_file(tmp_path):
+    # The mixture is always the sum of the stems, so a stored one of another
+    # length or sample rate neither fails its song nor changes any output.
+    root = tmp_path / "with_mixtures"
+    write_fixture_dataset(root, n_songs=2, seed=5, duration=1.2)
+    base = ["analyze", "--dataset", str(root)] + FAST_FLAGS
+    assert main(base + ["--out", str(tmp_path / "stems_only")]) == 0
+
+    short = np.zeros((1000, 2), dtype=np.float32)
+    scipy.io.wavfile.write(root / "song00" / "mixture.wav", 44100, short)
+    other_rate = np.zeros((48000, 2), dtype=np.float32)
+    scipy.io.wavfile.write(root / "song01" / "mixture.wav", 48000, other_rate)
+    assert main(base + ["--out", str(tmp_path / "with_mixtures_out")]) == 0
+    assert _tree(tmp_path / "with_mixtures_out") == _tree(tmp_path / "stems_only")
+
+
 def test_analyze_rejects_non_finite_samples(tmp_path, capsys):
     root = tmp_path / "nan"
     write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, n_channels=1)
@@ -295,6 +322,20 @@ def test_pool_initializer_pins_a_spawned_worker():
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, context, initializer=cli._pin_blas_threads) as pool:
         assert pool.submit(_blas_threads).result(timeout=120) == (1, 1)
+
+
+def test_pool_initializer_sets_only_unpinned_libraries(monkeypatch):
+    # A worker forked from the pinned parent is on one thread already;
+    # setting the count again costs it time and memory for nothing.
+    calls = []
+
+    def control(name, threads):
+        return (lambda: threads), (lambda count: calls.append((name, count)))
+
+    controls = (control("pinned", 1), control("unpinned", 4))
+    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: controls)
+    cli._pin_blas_threads()
+    assert calls == [("unpinned", 1)]
 
 
 def test_analyze_restores_the_callers_blas_threads(tiny_dataset, tmp_path, monkeypatch):
@@ -641,6 +682,12 @@ def test_flag_beats_environment(monkeypatch):
     monkeypatch.setenv("SEPARABILITY_WINDOW_SIZE", "512")
     monkeypatch.setenv("SEPARABILITY_HOP", "256")
     assert main(["check-cola", "--hop", "128"]) == 0
+    # An explicit filter length wins over both variables that can set one.
+    monkeypatch.setenv("SEPARABILITY_FAST_METRICS", "1")
+    monkeypatch.setenv("SEPARABILITY_FILTER_LEN", "3")
+    args = cli.build_parser().parse_args(["analyze", "--filter-len", "25"])
+    cli._apply_environment(args)
+    assert cli._configs(args)[2].filter_length == 25
 
 
 def test_bad_env_value_is_a_usage_error(monkeypatch, capsys):

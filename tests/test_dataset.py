@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
@@ -118,11 +120,6 @@ class TestMultitrackSong:
         with pytest.raises(AlignmentError, match="drums"):
             MultitrackSong("s", {"bass": _clip(rng, n=2000), "drums": _clip(rng, n=1999)})
 
-    def test_rejects_mismatched_mixture(self, rng):
-        stems = {"bass": _clip(rng), "drums": _clip(rng)}
-        with pytest.raises(AlignmentError):
-            MultitrackSong("s", stems, mixture=_clip(rng, n=100))
-
 
 class TestLoadSong:
     def test_loads_expected_stems(self, tmp_path, rng):
@@ -131,7 +128,6 @@ class TestLoadSong:
         song = load_song(song_dir, ["bass", "drums", "vocals"])
         assert song.song_id == "songA"
         assert song.instruments == ("bass", "drums", "vocals")
-        assert song.mixture is None
 
     def test_case_insensitive_match(self, tmp_path, rng):
         song_dir = tmp_path / "songB"
@@ -161,12 +157,15 @@ class TestLoadSong:
         assert song.instruments == ("bass", "drums")
         assert any("talkback" in rec.message for rec in caplog.records)
 
-    def test_mixture_loaded_when_present(self, tmp_path, rng):
+    def test_present_mixture_neither_read_nor_warned(self, tmp_path, rng, caplog):
         stems = {"bass": _clip(rng), "drums": _clip(rng)}
         song_dir = _write_song(tmp_path, "songF", stems)
-        write_wav(song_dir / "mixture.wav", _clip(rng))
-        song = load_song(song_dir, ["bass", "drums"])
-        assert song.mixture is not None
+        # Reading this file would raise DatasetError.
+        (song_dir / "mixture.wav").write_bytes(b"this is not RIFF data")
+        with caplog.at_level("WARNING"):
+            song = load_song(song_dir, ["bass", "drums"])
+        assert song.instruments == ("bass", "drums")
+        assert caplog.records == []
 
 
 class TestNormalizeLoudness:
@@ -206,22 +205,23 @@ class TestNormalizeLoudness:
 class TestMakeMixture:
     def test_sum_of_stems(self, rng):
         stems = {k: _clip(rng) for k in ("a", "b", "c")}
-        song = make_mixture(MultitrackSong("s", stems))
+        mixture = make_mixture(MultitrackSong("s", stems))
         expected = sum(c.samples for c in stems.values())
-        assert np.max(np.abs(song.mixture.samples - expected)) < 1e-15
+        assert mixture.sample_rate == SR
+        assert np.max(np.abs(mixture.samples - expected)) < 1e-15
 
     def test_opposite_stems_cancel(self, rng):
         base = rng.normal(0, 0.3, (1, 1000))
-        song = make_mixture(
+        mixture = make_mixture(
             MultitrackSong("s", {"a": AudioClip(base, SR), "b": AudioClip(-base, SR)})
         )
-        assert np.all(song.mixture.samples == 0.0)
+        assert np.all(mixture.samples == 0.0)
 
     def test_commutes_with_scaling(self, rng):
         stems = {k: _clip(rng) for k in ("a", "b")}
         scaled = {k: c.scaled(0.5) for k, c in stems.items()}
-        mix_scaled = make_mixture(MultitrackSong("s", scaled)).mixture
-        mix_then_scale = make_mixture(MultitrackSong("s", stems)).mixture.scaled(0.5)
+        mix_scaled = make_mixture(MultitrackSong("s", scaled))
+        mix_then_scale = make_mixture(MultitrackSong("s", stems)).scaled(0.5)
         assert np.max(np.abs(mix_scaled.samples - mix_then_scale.samples)) < 1e-15
 
 
@@ -277,6 +277,24 @@ class TestManifest:
         manifest.write_text("s1 train\n")
         with pytest.raises(DatasetError, match="TAB"):
             load_manifest(manifest)
+
+    def test_lists_each_song_directory_once(self, tmp_path, rng, monkeypatch):
+        manifest = self._dataset(tmp_path, rng, songs=("s1", "s2", "s3"))
+        for song_id in ("s1", "s2", "s3"):
+            write_wav(tmp_path / song_id / "mixture.wav", _clip(rng))
+        listed = []
+        real_glob = Path.glob
+
+        def glob(self, pattern, *args, **kwargs):
+            listed.append(self.name)
+            return real_glob(self, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "glob", glob)
+        for declared in (None, ["bass", "drums"]):
+            listed.clear()
+            m = load_manifest(manifest, instruments=declared)
+            assert m.instruments == ("bass", "drums")
+            assert sorted(listed) == ["s1", "s2", "s3"]
 
     def test_load_through_manifest(self, tmp_path, rng):
         m = load_manifest(self._dataset(tmp_path, rng))

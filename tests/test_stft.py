@@ -55,7 +55,8 @@ class TestConfig:
 
 
 class TestCola:
-    @pytest.mark.parametrize("hop_divisor", [3, 4, 8])
+    # The interior sum is _synthesis_weight's, down to one-sample hops.
+    @pytest.mark.parametrize("hop_divisor", [3, 4, 8, 6, 12, 1536])
     def test_hann_passes_at_small_hops(self, hop_divisor):
         cfg = StftConfig(window_size=1536, hop_size=1536 // hop_divisor)
         report = check_cola(cfg)
