@@ -314,6 +314,9 @@ def _pool_results(jobs: list, workers: int) -> list[dict]:
     change any output.
     """
     results: list[dict | None] = [None] * len(jobs)
+    # Under fork the pool starts all max_workers processes at the first
+    # submit, so a process no job would use is never created.
+    workers = min(workers, len(jobs))
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
         futures = []
         for job in jobs:

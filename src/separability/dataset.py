@@ -91,10 +91,6 @@ class MultitrackSong:
     def instruments(self) -> tuple[str, ...]:
         return tuple(self.stems)
 
-    @property
-    def n_samples(self) -> int:
-        return next(iter(self.stems.values())).n_samples
-
 
 def _stem_files(song_dir: Path) -> dict[str, Path]:
     """The song's stem WAVs by lower-cased name; ``mixture.wav`` is never a stem."""
@@ -188,41 +184,18 @@ class DatasetManifest:
             raise DatasetError(f"unknown split {split!r}")
         return tuple(s for s, sp in self.entries if split is None or sp == split)
 
-    def split_of(self, song_id: str) -> str:
-        for s, sp in self.entries:
-            if s == song_id:
-                return sp
-        raise DatasetError(f"song {song_id!r} not in manifest")
-
     def song_dir(self, song_id: str) -> Path:
         return self.root / song_id
 
-    def load(self, song_id: str) -> MultitrackSong:
-        return load_song(self.song_dir(song_id), self.instruments)
 
-
-def _present_stems(root: Path, song_ids: Sequence[str]) -> dict[str, set[str]]:
-    """The stem names of every listed song, listing each directory once."""
-    present: dict[str, set[str]] = {}
-    for song_id in dict.fromkeys(song_ids):
-        song_dir = root / song_id
-        if not song_dir.is_dir():
-            raise DatasetError(f"manifest lists {song_id!r} but {song_dir} does not exist")
-        present[song_id] = set(_stem_files(song_dir))
-    return present
-
-
-def load_manifest(
-    manifest_path: Path | str,
-    root: Path | str | None = None,
-    instruments: Sequence[str] | None = None,
-) -> DatasetManifest:
+def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> DatasetManifest:
     """Parse a song_id<TAB>split manifest file.
 
-    The dataset root defaults to the manifest's directory.  When no
-    instrument list is given, the labels are discovered as the WAV names
-    present in every listed song directory (mixture excluded).  Each
-    song directory is then checked to contain every declared stem.
+    Each song id names one directory directly under the dataset root,
+    which defaults to the manifest's directory; an id holding a path
+    separator, or ``..``, is rejected before any directory is listed.
+    The instruments are always discovered: the WAV names present in
+    every listed song directory (mixture excluded).
     """
     manifest_path = Path(manifest_path)
     root = Path(root) if root is not None else manifest_path.parent
@@ -239,30 +212,32 @@ def load_manifest(
             raise DatasetError(
                 f"{manifest_path}:{lineno}: expected song_id<TAB>split, got {line!r}"
             )
-        entries.append((parts[0].strip(), parts[1].strip()))
+        song_id, split = parts[0].strip(), parts[1].strip()
+        # Outputs key a song by its directory's name, so the id must be that name.
+        if song_id == ".." or Path(song_id).name != song_id:
+            raise DatasetError(
+                f"{manifest_path}:{lineno}: song id {song_id!r} is not one directory name"
+            )
+        entries.append((song_id, split))
     if not entries:
         raise DatasetError(f"{manifest_path}: no songs listed")
 
     song_ids = [song_id for song_id, _ in entries]
-    present = None
-    if instruments is None:
-        present = _present_stems(root, song_ids)
-        # Instruments common to every song; per-song extras are reported at
-        # load time instead of silently shrinking the label set further.
-        instruments = tuple(sorted(set.intersection(*present.values())))
-        if not instruments:
-            raise DatasetError("no instrument stems shared by every listed song")
+    present = []
+    for song_id in dict.fromkeys(song_ids):
+        song_dir = root / song_id
+        if not song_dir.is_dir():
+            raise DatasetError(f"manifest lists {song_id!r} but {song_dir} does not exist")
+        present.append(set(_stem_files(song_dir)))
+    # Instruments common to every song; per-song extras are reported at
+    # load time instead of silently shrinking the label set further.
+    instruments = tuple(sorted(set.intersection(*present)))
+    if not instruments:
+        raise DatasetError("no instrument stems shared by every listed song")
     for label in (*song_ids, *instruments):
         if "," in label:
             raise DatasetError(
                 f"{manifest_path}: {label!r} contains ',', which CSV cells cannot hold"
             )
-    if present is None:
-        present = _present_stems(root, song_ids)
 
-    for song_id, names in present.items():
-        for inst in instruments:
-            if inst.lower() not in names:
-                raise MissingStemError(f"song {song_id!r} is missing stem {inst!r}")
-
-    return DatasetManifest(root, tuple(entries), tuple(instruments))
+    return DatasetManifest(root, tuple(entries), instruments)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .audio import AudioClip
@@ -180,17 +179,36 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
 
     Takes the steps of ``scipy.signal.fftconvolve(in1, in2, axes=-1)``, so
     it returns the same bits, without importing ``scipy.signal`` and the
-    subpackages behind it (most of the package's start-up time).  A
-    length-1 last axis needs no transform: the result is the broadcast
+    subpackages behind it (most of the package's start-up time).  Since
+    NumPy 2.0, ``np.fft`` runs the same pocketfft code as SciPy's FFTs.
+    A length-1 last axis needs no transform: the result is the broadcast
     product, as SciPy's.
     """
     n1, n2 = in1.shape[-1], in2.shape[-1]
     if n1 == 1 or n2 == 1:
         return in1 * in2
     n = n1 + n2 - 1
-    nfft = scipy.fft.next_fast_len(n, True)
-    spectrum = scipy.fft.rfftn(in1, [nfft], axes=[-1]) * scipy.fft.rfftn(in2, [nfft], axes=[-1])
-    return scipy.fft.irfftn(spectrum, [nfft], axes=[-1])[..., :n].copy()
+    nfft = _next_fast_len(n)
+    spectrum = np.fft.rfft(in1, nfft) * np.fft.rfft(in2, nfft)
+    return np.fft.irfft(spectrum, nfft)[..., :n].copy()
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest integer >= n whose only prime factors are 2, 3 and 5.
+
+    SciPy's ``next_fast_len(n, real=True)``: the real-input transform
+    sizes its FFTs run fastest at.
+    """
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 doubled until it reaches n.
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _lower(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -199,7 +217,7 @@ def _lower(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     g is (L, m, m), y (L, m, r); a block convolution through the FFT.
     """
     flen = y.shape[0]
-    nfft = scipy.fft.next_fast_len(2 * flen - 1, real=True)
+    nfft = _next_fast_len(2 * flen - 1)
     spectrum = np.fft.rfft(g, nfft, axis=0) @ np.fft.rfft(y, nfft, axis=0)
     return np.fft.irfft(spectrum, nfft, axis=0)[:flen]
 

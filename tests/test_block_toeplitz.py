@@ -10,6 +10,7 @@ direct and the FFT paths.
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from scipy.signal import fftconvolve
 
@@ -20,6 +21,7 @@ from separability.metrics import (
     _block_toeplitz_solve,
     _lag_correlations,
     _levinson,
+    _next_fast_len,
     _synthesize,
     fftconvolve as package_fftconvolve,
 )
@@ -108,6 +110,12 @@ def test_package_fftconvolve_is_scipys_bit_for_bit(flen, n):
         filters = gen.normal(size=(2, n_regs, flen))
         regs = regs[np.newaxis]
         assert_same_bits(package_fftconvolve(filters, regs), fftconvolve(filters, regs, axes=-1))
+
+
+def test_next_fast_len_is_scipys():
+    sizes = range(1, 100_001)
+    got = [_next_fast_len(n) for n in sizes]
+    assert got == [scipy.fft.next_fast_len(n, real=True) for n in sizes]
 
 
 @pytest.mark.parametrize("flen", [1, 2, 7, 64])

@@ -9,7 +9,7 @@ import json
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -269,23 +269,45 @@ def test_analyze_rejects_non_finite_samples(tmp_path, capsys):
     assert "InvalidInputError" in log["error"]
 
 
-@pytest.mark.parametrize("renamed", ["song", "stem"])
-def test_analyze_rejects_comma_in_labels(tmp_path, capsys, renamed):
-    # A comma in a song id or instrument label would add a cell to its CSV rows.
+@pytest.mark.parametrize("renamed", ["song", "stem", "grp/song01", "..", "a/x b/x"])
+def test_analyze_rejects_comma_in_labels(tmp_path, capsys, monkeypatch, renamed):
+    # A comma in a song id or instrument label would add a cell to its CSV
+    # rows, and outputs key a song by its directory's name, so a song id
+    # must be one directory name.  Either is refused before any song loads.
     root = tmp_path / "comma"
     write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, n_channels=1)
+    manifest = root / "manifest.tsv"
     if renamed == "song":
         (root / "song01").rename(root / "song,01")
-        manifest = root / "manifest.tsv"
         manifest.write_text(manifest.read_text().replace("song01", "song,01"))
-    else:
+        error = "contains ','"
+    elif renamed == "stem":
         for song in ("song00", "song01"):
             (root / song / "bass.wav").rename(root / song / "bass,di.wav")
+        error = "contains ','"
+    else:
+        # Every id but ".." names an existing song directory below the root.
+        ids = ("a/x", "b/x") if renamed == "a/x b/x" else ("song00", renamed)
+        for old, new in zip(("song00", "song01"), ids):
+            if new not in (old, ".."):
+                (root / new).parent.mkdir(exist_ok=True)
+                (root / old).rename(root / new)
+            manifest.write_text(manifest.read_text().replace(old, new))
+        error = f"{manifest}:{1 if ids[0] != 'song00' else 2}: "
 
+    loads = []
+    real_load_song = cli.load_song
+
+    def load_song(*args):
+        loads.append(args)
+        return real_load_song(*args)
+
+    monkeypatch.setattr(cli, "load_song", load_song)
     out_dir = tmp_path / "out"
     code = main(["analyze", "--dataset", str(root), "--out", str(out_dir)] + FAST_FLAGS)
     assert code == 2
-    assert "contains ','" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
+    assert loads == []
     assert not out_dir.exists()
 
 
@@ -747,3 +769,29 @@ def test_env_variable_sets_the_worker_count(tiny_dataset, tmp_path, monkeypatch)
     argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path)] + FAST_FLAGS
     assert main(argv) == 0
     assert seen == [3]
+
+
+def test_pool_starts_no_more_workers_than_songs(tiny_dataset, tmp_path, monkeypatch):
+    # Under fork a pool starts every one of its max_workers processes at
+    # the first submit, whether or not a job is left for it.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path), "--workers", "8"]
+    assert main(argv + FAST_FLAGS) == 0
+    assert sizes == [2]

@@ -238,7 +238,7 @@ class TestManifest:
         m = load_manifest(manifest)
         assert m.song_ids() == ("s1", "s2")
         assert m.instruments == ("bass", "drums")
-        assert m.split_of("s1") == "train"
+        assert m.entries == (("s1", "train"), ("s2", "train"))
 
     def test_split_filter(self, tmp_path, rng):
         for song_id in ("s1", "s2", "s3"):
@@ -267,11 +267,6 @@ class TestManifest:
         with pytest.raises(DatasetError, match="ghost"):
             load_manifest(manifest)
 
-    def test_declared_stem_enforced(self, tmp_path, rng):
-        manifest = self._dataset(tmp_path, rng)
-        with pytest.raises(MissingStemError):
-            load_manifest(manifest, instruments=["bass", "drums", "piano"])
-
     def test_malformed_line_rejected(self, tmp_path, rng):
         manifest = self._dataset(tmp_path, rng)
         manifest.write_text("s1 train\n")
@@ -290,13 +285,11 @@ class TestManifest:
             return real_glob(self, pattern, *args, **kwargs)
 
         monkeypatch.setattr(Path, "glob", glob)
-        for declared in (None, ["bass", "drums"]):
-            listed.clear()
-            m = load_manifest(manifest, instruments=declared)
-            assert m.instruments == ("bass", "drums")
-            assert sorted(listed) == ["s1", "s2", "s3"]
+        m = load_manifest(manifest)
+        assert m.instruments == ("bass", "drums")
+        assert sorted(listed) == ["s1", "s2", "s3"]
 
     def test_load_through_manifest(self, tmp_path, rng):
         m = load_manifest(self._dataset(tmp_path, rng))
-        song = m.load("s1")
+        song = load_song(m.song_dir("s1"), m.instruments)
         assert song.instruments == ("bass", "drums")

@@ -3,7 +3,9 @@
 Every command runs in its own process, so import time is paid once per
 command.  ``scipy.signal`` alone used to take most of it, and pulls in
 ``scipy.stats``, ``scipy.interpolate``, ``scipy.optimize`` and
-``scipy.ndimage``; the package needs none of them.
+``scipy.ndimage``; the package needs none of them.  Its FFTs run through
+``np.fft``, so ``scipy.fft`` and the ``scipy.special`` behind it stay
+out too.
 """
 
 import os
@@ -14,7 +16,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.ndimage")
+HEAVY = (
+    "scipy.signal",
+    "scipy.stats",
+    "scipy.interpolate",
+    "scipy.optimize",
+    "scipy.ndimage",
+    "scipy.fft",
+    "scipy.special",
+)
 
 
 @pytest.mark.parametrize("module", ["separability.cli", "separability"])
