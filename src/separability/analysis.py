@@ -197,13 +197,19 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     x, y = _drop_missing_pairs(x, y)
     if x.size < 2:
         raise InvalidInputError(f"need at least 2 complete pairs, got {x.size}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+    # An infinite input, or one whose squares overflow, is caught below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sxx = float(np.dot(dx, dx))
+        syy = float(np.dot(dy, dy))
+        sxy = float(np.dot(dx, dy))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance in at least one argument")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    norm = sxx * syy
+    r = sxy / math.sqrt(norm)
+    if not (math.isfinite(norm) and math.isfinite(r)):
+        raise UndefinedCorrelationError("sum of squares or correlation is not finite")
     return min(1.0, max(-1.0, r))
 
 

@@ -49,10 +49,6 @@ class AudioClip:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
     def rms(self) -> float:
         """Root-mean-square amplitude over all channels and samples."""
         if self.samples.size == 0:

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Commands: analyze, rank, select, correlate, mute-plan, check-cola.
-Twelve flags can also be supplied through an environment variable
+Eleven flags can also be supplied through an environment variable
 named SEPARABILITY_<FLAG>: WINDOW_SIZE, HOP, WINDOW_KIND, ALPHA,
-ZERO_BIN_POLICY, FILTER_LEN, FAST_METRICS, SEED, OUT, DATASET, MANIFEST
-and WORKERS.  ``main`` applies the environment once, before the command
-runs: every one of these flags the command has but was not given takes
-its variable's value.  Explicit flags win over the environment, the
+FILTER_LEN, FAST_METRICS, SEED, OUT, DATASET, MANIFEST and WORKERS.
+``main`` applies the environment once, before the command runs: every
+one of these flags the command has but was not given takes its
+variable's value.  Explicit flags win over the environment, the
 environment wins over defaults.
 
 Exit codes: 0 success, 1 partial failure (some songs failed, or the
@@ -49,8 +49,8 @@ from .analysis import (
     select_subset,
 )
 from .dataset import load_manifest, load_song, make_mixture, normalize_loudness
-from .errors import SeparabilityError
-from .irm import ZERO_BIN_POLICIES, OracleConfig, oracle_separate
+from .errors import InvalidInputError, SeparabilityError
+from .irm import OracleConfig, oracle_separate
 from .metrics import METRICS, MetricConfig, ScoringReport, aggregate_song, framewise_scores
 from .scores import (
     FORMAT_VERSION,
@@ -84,7 +84,7 @@ def _parse_bool(raw: str) -> bool:
 # variable is ENV_PREFIX + key.upper(), and its text goes through the cast.
 # FAST_METRICS feeds filter_len, as its flag does, and wins over FILTER_LEN.
 ENV_CASTS = {
-    "window_size": int, "hop": int, "window_kind": str, "alpha": float, "zero_bin_policy": str,
+    "window_size": int, "hop": int, "window_kind": str, "alpha": float,
     "fast_metrics": lambda raw: 1 if _parse_bool(raw) else None, "filter_len": int,
     "seed": int, "out": str, "dataset": str, "manifest": str, "workers": int,
 }
@@ -117,7 +117,7 @@ def _write_text(path: Path | str | None, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -126,7 +126,10 @@ def _write_text(path: Path | str | None, text: str) -> None:
 
 
 def _load_table(path: Path) -> ScoreTable:
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from None
     if path.suffix.lower() == ".json":
         return ScoreTable.from_json(text)
     return ScoreTable.from_csv(text)
@@ -150,7 +153,7 @@ def _configs(args) -> tuple[StftConfig, OracleConfig, MetricConfig]:
     """The configs of the DSP flags given."""
     return (
         _stft_config(args),
-        OracleConfig(**_given(alpha=args.alpha, zero_bin_policy=args.zero_bin_policy)),
+        OracleConfig(**_given(alpha=args.alpha)),
         MetricConfig(**_given(filter_length=args.filter_len)),
     )
 
@@ -177,7 +180,6 @@ def _dsp_metadata(
         "hop_size": str(stft_config.hop_size),
         "center": str(stft_config.center).lower(),
         "alpha": str(oracle_config.alpha),
-        "zero_bin_policy": oracle_config.zero_bin_policy,
         "window_length": str(metric_config.window_length),
         "window_hop": str(metric_config.window_hop),
         "filter_length": str(metric_config.filter_length),
@@ -491,9 +493,12 @@ DEFAULT_RATIOS = tuple(i / 20 for i in range(10))  # 0.00 .. 0.45 step 0.05
 
 def _parse_ratios(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
+        ratios = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError as exc:
         raise SeparabilityError(f"bad ratio list {raw!r}: {exc}") from None
+    if not ratios:
+        raise SeparabilityError(f"bad ratio list {raw!r}: no ratios")
+    return ratios
 
 
 def cmd_mute_plan(args) -> int:
@@ -549,9 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dsp = argparse.ArgumentParser(add_help=False)
     dsp.add_argument("--alpha", type=float, help="mask magnitude exponent")
-    dsp.add_argument(
-        "--zero-bin-policy", choices=ZERO_BIN_POLICIES, help="mask value at all-silent bins"
-    )
     taps = dsp.add_mutually_exclusive_group()
     taps.add_argument("--filter-len", type=int, help="distortion filter taps")
     taps.add_argument(

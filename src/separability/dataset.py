@@ -202,8 +202,12 @@ def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> 
     if not manifest_path.is_file():
         raise DatasetError(f"manifest not found: {manifest_path}")
 
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{manifest_path}: not UTF-8 text: {exc}") from None
     entries: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(manifest_path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

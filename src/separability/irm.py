@@ -19,8 +19,6 @@ from .audio import AudioClip
 from .errors import ConfigurationError, InvalidInputError
 from .stft import Spectrogram, StftConfig, _frame_count, _padded_segment, istft, stft
 
-ZERO_BIN_POLICIES = ("uniform", "zero")
-
 # STFT frames each block of oracle_separate adds: about 1.5 s at hop 1024.
 BLOCK_FRAMES = 64
 
@@ -33,36 +31,27 @@ class OracleConfig:
     power-ratio masks.  Power masks are the default; they correspond to a
     Wiener-style local SNR weighting and separate overlapping content
     more aggressively.
-
-    zero_bin_policy controls bins where every stem is exactly silent:
-    "uniform" spreads the mixture evenly over the sources (masks then sum
-    to one everywhere), "zero" suppresses such bins in every estimate.
     """
 
     alpha: float = 2.0
-    zero_bin_policy: str = "uniform"
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
-        if self.zero_bin_policy not in ZERO_BIN_POLICIES:
-            raise ConfigurationError(
-                f"unknown zero_bin_policy {self.zero_bin_policy!r}; "
-                f"expected one of {ZERO_BIN_POLICIES}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
 class MaskSet:
     """Per-source ratio masks over one TF grid.
 
-    masks has shape (sources, channels, frames, freqs), entries in [0, 1].
-    Where at least one source is active the masks sum to one.
+    masks has shape (sources, channels, frames, freqs), entries in [0, 1],
+    and sums to one over the sources at every bin.  A bin where every
+    source is exactly silent gets 1/n in each of the n masks.  That value
+    changes no estimate: the oracle masks the sum of these same sources,
+    which is exactly silent there too.
     """
 
     masks: np.ndarray
-    source_ids: tuple[str, ...]
-    config: OracleConfig
 
     def __post_init__(self):
         arr = np.asarray(self.masks, dtype=np.float64)
@@ -70,22 +59,15 @@ class MaskSet:
             raise InvalidInputError(
                 f"masks must be (sources, channels, frames, freqs), got shape {arr.shape}"
             )
-        if arr.shape[0] != len(self.source_ids):
-            raise InvalidInputError(
-                f"{arr.shape[0]} masks for {len(self.source_ids)} source ids"
-            )
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "masks", arr)
-        object.__setattr__(self, "source_ids", tuple(self.source_ids))
 
 
 def compute_irm(
-    source_specs: Sequence[Spectrogram],
-    config: OracleConfig = OracleConfig(),
-    source_ids: Sequence[str] | None = None,
+    source_specs: Sequence[Spectrogram], config: OracleConfig = OracleConfig()
 ) -> MaskSet:
-    """Ratio masks from the stem spectrograms.
+    """Ratio masks from the stem spectrograms, in stem order.
 
     All spectrograms must share one shape and framing configuration.
     """
@@ -95,12 +77,6 @@ def compute_irm(
     for spec in source_specs[1:]:
         if spec.bins.shape != first.bins.shape or spec.config != first.config:
             raise InvalidInputError("source spectrograms must share shape and configuration")
-    if source_ids is None:
-        source_ids = tuple(f"source_{i}" for i in range(len(source_specs)))
-    elif len(source_ids) != len(source_specs):
-        raise InvalidInputError(
-            f"{len(source_ids)} source ids for {len(source_specs)} spectrograms"
-        )
 
     # |X_j|^alpha goes straight into its slot and becomes the mask in place.
     n = len(source_specs)
@@ -113,8 +89,8 @@ def compute_irm(
     with np.errstate(invalid="ignore", divide="ignore"):
         masks /= denom
     if silent.any():
-        masks[:, silent] = 1.0 / n if config.zero_bin_policy == "uniform" else 0.0
-    return MaskSet(masks, tuple(source_ids), config)
+        masks[:, silent] = 1.0 / n
+    return MaskSet(masks)
 
 
 def apply_masks(mask_set: MaskSet, mixture_spec: Spectrogram) -> list[Spectrogram]:

@@ -631,7 +631,6 @@ class ScoringReport:
     target-only, that needed those last resorts.
     """
 
-    windows: int = 0
     windows_scored: int = 0
     silent_windows: list[int] = field(default_factory=list)
     tail_samples_unscored: int = 0
@@ -671,7 +670,6 @@ def framewise_scores(
     }
     if report is None:
         report = ScoringReport()
-    report.windows = len(bounds)
     report.silent_windows = [0] * n_sources
     report.tail_samples_unscored = first.n_samples - bounds[-1][1]
 

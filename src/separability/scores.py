@@ -1,8 +1,10 @@
 """Score tables, and the one output format every command writes.
 
 One row per (song_id, instrument).  Missing values are NaN in memory,
-empty cells in CSV, null in JSON.  Serialized numbers are printed with
-six decimal places (round-half-even) so that repeated runs diff cleanly.
+empty cells in CSV, null in JSON; every other score is finite, and a
+table file holding an infinite one is rejected.  Serialized numbers are
+printed with six decimal places (round-half-even) so that repeated runs
+diff cleanly.
 Every CSV file starts with '# key=value' metadata lines carrying a format
 version and the resolved configuration of the run that produced it;
 every JSON file is indented by two spaces.  This module is the only one
@@ -171,6 +173,8 @@ class ScoreTable:
                 }
             except ValueError as exc:
                 raise InvalidInputError(f"line {lineno}: {exc}") from None
+            if any(map(math.isinf, values.values())):
+                raise InvalidInputError(f"line {lineno}: scores must be finite or empty")
             # Split on ',' and mapped onto METRICS: nothing add_row checks is left but the key.
             table._insert(cells[0], cells[1], values)
         if not header_seen:
@@ -210,6 +214,8 @@ class ScoreTable:
                 }
             except (TypeError, ValueError) as exc:
                 raise InvalidInputError(f"row {index}: {exc}") from None
+            if any(map(math.isinf, values.values())):
+                raise InvalidInputError(f"row {index}: scores must be finite or null")
             table.add_row(str(row["song_id"]), str(row["instrument"]), values)
         return table
 

@@ -234,27 +234,23 @@ def stft(clip: AudioClip, config: StftConfig = StftConfig()) -> Spectrogram:
     return Spectrogram(bins, config, clip.n_samples, clip.sample_rate)
 
 
-def istft(spec: Spectrogram, target_length: int | None = None) -> AudioClip:
-    """Inverse transform, trimmed or zero-extended to ``target_length`` samples.
+def istft(spec: Spectrogram) -> AudioClip:
+    """Inverse transform, trimmed to the ``original_length`` samples analysed.
 
-    ``target_length`` defaults to the length recorded at analysis time.
-    Requesting more samples than the frame count can represent raises
-    :class:`InvalidInputError`.
+    Raises :class:`InvalidInputError` when that length is negative or
+    more than the frames can hold, as a hand-built spectrogram may claim.
     """
     config = spec.config
     require_cola(config)
-    if target_length is None:
-        target_length = spec.original_length
-    if target_length < 0:
-        raise InvalidInputError(f"target_length must be >= 0, got {target_length}")
+    length = spec.original_length
 
     win = window_values(config)
     ws, hop = config.window_size, config.hop_size
     n_channels, n_frames = spec.n_channels, spec.n_frames
     total = (n_frames - 1) * hop + ws
-    if config.pad + target_length > total:
+    if not 0 <= length <= total - config.pad:
         raise InvalidInputError(
-            f"target_length {target_length} exceeds the {total - config.pad} samples "
+            f"original_length {length} is outside the 0 to {total - config.pad} samples "
             f"representable by {n_frames} frames"
         )
 
@@ -267,4 +263,4 @@ def istft(spec: Spectrogram, target_length: int | None = None) -> AudioClip:
     np.divide(out, wsq, out=out, where=covered)
     out[:, uncovered] = 0.0
     start = config.pad
-    return AudioClip(out[:, start : start + target_length], spec.sample_rate)
+    return AudioClip(out[:, start : start + length], spec.sample_rate)

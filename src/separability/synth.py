@@ -182,5 +182,5 @@ def write_fixture_dataset(
         lines.append(f"{song_id}\t{split_list[i]}")
 
     manifest_path = root / "manifest.tsv"
-    manifest_path.write_text("\n".join(lines) + "\n")
+    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest_path

@@ -116,12 +116,12 @@ def direct_spearman(x, y) -> float:
 
 
 def whole_song_oracle_separate(
-    mixture, stems, stft_config=StftConfig(), oracle_config=OracleConfig(), source_ids=None
+    mixture, stems, stft_config=StftConfig(), oracle_config=OracleConfig()
 ):
     """The oracle in one pass: whole-song spectrograms, masks and inverse."""
     mix_spec = stft(mixture, stft_config)
     stem_specs = [stft(s, stft_config) for s in stems]
-    mask_set = compute_irm(stem_specs, oracle_config, source_ids)
+    mask_set = compute_irm(stem_specs, oracle_config)
     return [istft(spec) for spec in apply_masks(mask_set, mix_spec)]
 
 
@@ -132,7 +132,7 @@ def stacked_masks(source_specs, config=OracleConfig()) -> np.ndarray:
     silent = denom == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         masks = energies / denom
-    masks[:, silent] = 1.0 / len(source_specs) if config.zero_bin_policy == "uniform" else 0.0
+    masks[:, silent] = 1.0 / len(source_specs)
     return masks
 
 

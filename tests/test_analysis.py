@@ -141,6 +141,18 @@ class TestPearson:
         with pytest.raises(UndefinedCorrelationError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]),  # r is NaN, once clamped to -1
+            ([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]),  # Sxx overflows, r was 0
+            ([1e100, 2e100, 3e100], [1e100, 2e100, 3e100]),  # Sxx * Syy overflows, r was 0
+        ],
+    )
+    def test_non_finite_sums_are_undefined(self, x, y):
+        with pytest.raises(UndefinedCorrelationError, match="not finite"):
+            pearson(x, y)
+
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         scale=st.sampled_from([0.5, 2.0, 10.0]),

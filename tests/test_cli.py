@@ -9,6 +9,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
@@ -79,6 +81,14 @@ def test_check_cola_ignores_mask_and_metric_variables(monkeypatch, capsys):
 def test_check_cola_takes_only_framing_flags(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-cola", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_analyze_has_no_zero_bin_policy_flag(capsys):
+    # The oracle masks the sum of the stems, which is silent wherever they all are.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--zero-bin-policy", "zero"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -587,18 +597,26 @@ def test_table_with_comma_in_a_label_is_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+INFINITE_JSON_ROW = '{"rows": [{"song_id": "a", "instrument": "bass", "sdr": Infinity}]}'
+
+
 @pytest.mark.parametrize(
     "command, name, text, message",
     [
         ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,abc,1,1,1,1\n", "error: line 2: "),
         ("select", "scores.json", "{not json", "error: not a JSON score table: "),
         ("correlate", "scores.json", "[1, 2]", "error: expected a JSON object at the top level"),
+        ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,1,-inf,1,1,1\n", "error: line 2: "),
+        ("select", "scores.json", INFINITE_JSON_ROW, "error: row 0: "),
+        ("correlate", "scores.csv", "bj\xf8rk", "error: {scores}: not UTF-8 text: "),
     ],
-    ids=["csv-cell", "not-json", "json-list"],
+    ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8"],
 )
 def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
     scores = tmp_path / name
-    scores.write_text(text)
+    # Latin-1 bytes: the "not-utf8" text is no UTF-8 at all, the others are ASCII.
+    scores.write_bytes(text.encode("latin-1"))
+    message = message.format(scores=scores)
     out = tmp_path / "out"
     pick = ["--scores", str(scores), "--metric", "si_sdr", "--instrument", "bass"]
     argv = {
@@ -610,6 +628,35 @@ def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name,
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_table_commands_are_utf8_in_the_c_locale(tmp_path, monkeypatch):
+    # The C locale's default text encoding is ASCII; the files are UTF-8 in any locale.
+    gen = np.random.default_rng(3)
+    rows = [
+        f"{song},{inst},{','.join(f'{v:.6f}' for v in gen.normal(0.0, 5.0, 5))}\n"
+        for song in ("bjørk", "song01", "song02", "song03")
+        for inst in ("bass", "cordés")
+    ]
+    (tmp_path / "scores.csv").write_bytes((CSV_HEADER_LINE + "".join(rows)).encode("utf-8"))
+    commands = [
+        ["rank", "--scores", "scores.csv", "--metric", "sdr", "--instrument", "bass",
+         "--out", "{out}/rank.json"],
+        ["correlate", "scores.csv", "scores.csv", "--out", "{out}/correlate"],
+    ]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        c_locale = subprocess.run(
+            [sys.executable, "-m", "separability", *(a.format(out="c") for a in argv)],
+            env=env, capture_output=True, text=True,
+        )
+        assert c_locale.returncode == main([a.format(out="utf8") for a in argv]) == 0, c_locale.stderr
+    assert _tree(tmp_path / "c") == _tree(tmp_path / "utf8")
+    assert "bjørk" in json.loads((tmp_path / "c" / "rank.json").read_bytes())["ranking"]
+    assert "cordés".encode() in (tmp_path / "c" / "correlate" / "correlations.csv").read_bytes()
 
 
 # -- mute-plan ----------------------------------------------------------
@@ -674,21 +721,22 @@ def test_mute_plan_rejects_unknown_instrument(fixture_dataset, tmp_path, capsys)
 
 def test_mute_plan_validates_ratios_before_writing(fixture_dataset, tmp_path, capsys):
     out_dir = tmp_path / "plans"
-    code = main(
-        [
-            "mute-plan",
-            "--manifest",
-            str(fixture_dataset),
-            "--instrument",
-            "bass",
-            "--ratios",
-            "0.2,1.5",
-            "--out",
-            str(out_dir),
-        ]
-    )
-    assert code == 2
-    assert not out_dir.exists()
+    for ratios in ("0.2,1.5", "", ","):
+        code = main(
+            [
+                "mute-plan",
+                "--manifest",
+                str(fixture_dataset),
+                "--instrument",
+                "bass",
+                "--ratios",
+                ratios,
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == 2, ratios
+        assert not out_dir.exists()
 
 
 # -- environment overrides ----------------------------------------------
@@ -725,7 +773,6 @@ def test_bad_env_value_is_a_usage_error(monkeypatch, capsys):
         ("HOP", "512", "hop_size", "512"),
         ("WINDOW_KIND", "rect", "window_kind", "rect"),
         ("ALPHA", "1.0", "alpha", "1.0"),
-        ("ZERO_BIN_POLICY", "zero", "zero_bin_policy", "zero"),
         ("FILTER_LEN", "3", "filter_length", "3"),
         ("FAST_METRICS", "yes", "filter_length", "1"),
         ("SEED", "7", "seed", "7"),

@@ -267,6 +267,12 @@ class TestManifest:
         with pytest.raises(DatasetError, match="ghost"):
             load_manifest(manifest)
 
+    def test_non_utf8_manifest_rejected(self, tmp_path, rng):
+        manifest = self._dataset(tmp_path, rng)
+        manifest.write_bytes(b"s1\ttrain\nbj\xf8rk\ttest\n")
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            load_manifest(manifest)
+
     def test_malformed_line_rejected(self, tmp_path, rng):
         manifest = self._dataset(tmp_path, rng)
         manifest.write_text("s1 train\n")

@@ -68,11 +68,7 @@ def test_streamed_equals_whole_song(length, config, n_channels):
     assert_same(mix, stems, config)
 
 
-@pytest.mark.parametrize(
-    "oracle_config",
-    [OracleConfig(zero_bin_policy="zero"), OracleConfig(alpha=1.0)],
-    ids=["zero_policy", "alpha_1"],
-)
+@pytest.mark.parametrize("oracle_config", [OracleConfig(alpha=1.0)], ids=["alpha_1"])
 def test_streamed_equals_whole_song_other_masks(oracle_config):
     mix, stems = stems_and_mix(3, length_for_frames(HANN, 3 * BLOCK_FRAMES) + 11, 2)
     assert_same(mix, stems, HANN, oracle_config)
