@@ -43,7 +43,10 @@ def _sample_indices(n: int, k: int, seed: int) -> list[int]:
 
     Partial Fisher-Yates driven by PCG64 so the draw depends only on
     (n, k, seed), not on library version details of shuffle helpers.
+    PCG64 takes no negative seed.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     gen = np.random.Generator(np.random.PCG64(seed))
     idx = list(range(n))
     for i in range(k):

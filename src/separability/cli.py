@@ -42,13 +42,14 @@ import numpy
 import scipy
 
 from .analysis import (
+    CRITERIA,
     GENERATOR_ID,
     correlate_tables,
     plan_mutes,
     rank_songs,
     select_subset,
 )
-from .dataset import load_manifest, load_song, make_mixture, normalize_loudness
+from .dataset import fs_name, load_manifest, load_song, make_mixture, normalize_loudness, utf8_name
 from .errors import InvalidInputError, SeparabilityError
 from .irm import OracleConfig, oracle_separate
 from .metrics import METRICS, MetricConfig, ScoringReport, aggregate_song, framewise_scores
@@ -265,7 +266,7 @@ def _failed_result(payload, exc: BaseException) -> dict:
     """The error row of the song ``payload`` describes."""
     song_dir, _, split = payload[:3]
     return {
-        "song_id": Path(song_dir).name,
+        "song_id": utf8_name(Path(song_dir).name),
         "split": split,
         "status": "error",
         "error": f"{type(exc).__name__}: {exc}",
@@ -291,7 +292,7 @@ def _song_job(payload):
         report = ScoringReport()
         frames = framewise_scores(stems, estimates, metric_config, report)
         return {
-            "song_id": Path(song_dir).name,
+            "song_id": song.song_id,
             "split": split,
             "status": "ok",
             "error": None,
@@ -352,6 +353,8 @@ def _curve_csv(table: ScoreTable, metadata: dict[str, str]) -> str:
 def cmd_analyze(args) -> int:
     dataset, manifest_path = _dataset_and_manifest(args)
     out_dir = _out_dir(args)
+    if args.workers is not None and args.workers < 1:
+        raise InvalidInputError(f"--workers must be >= 1, got {args.workers}")
     workers = args.workers or 1
     seed = args.seed or 0
     stft_config, oracle_config, metric_config = _configs(args)
@@ -373,23 +376,23 @@ def cmd_analyze(args) -> int:
         for song_id, split in sorted(manifest.entries)
     ]
 
-    with _one_blas_thread():
-        if workers <= 1:
-            results = [_song_job(job) for job in jobs]
-        else:
-            results = _pool_results(jobs, workers)
-
     metadata = {
         "format_version": FORMAT_VERSION,
         "command": "analyze",
-        "dataset": str(dataset),
-        "manifest": str(manifest_path),
+        "dataset": utf8_name(str(dataset)),
+        "manifest": utf8_name(str(manifest_path)),
         "instruments": "|".join(manifest.instruments),
         "normalize": str(normalize).lower(),
         **_dsp_metadata(stft_config, oracle_config, metric_config),
         "seed": str(seed),
         "generator": GENERATOR_ID,
     }
+
+    with _one_blas_thread():
+        if workers <= 1:
+            results = [_song_job(job) for job in jobs]
+        else:
+            results = _pool_results(jobs, workers)
 
     table = ScoreTable(metadata)
     for result in results:
@@ -417,7 +420,8 @@ def cmd_analyze(args) -> int:
             **result["accounting"],
             "scores": {inst: metric_json(values) for inst, values in result["scores"].items()},
         }
-        _write_text(out_dir / "logs" / f"{result['song_id']}.json", write_json(log_payload))
+        log_name = fs_name(f"{result['song_id']}.json")
+        _write_text(out_dir / "logs" / log_name, write_json(log_payload))
 
     failed = [r["song_id"] for r in results if r["status"] != "ok"]
     for song_id in failed:
@@ -438,7 +442,7 @@ def cmd_rank(args) -> int:
         "metric": args.metric,
         "instrument": args.instrument,
         "ranking": ranking,
-        "config": {"command": "rank", "scores": str(args.scores)},
+        "config": {"command": "rank", "scores": utf8_name(args.scores)},
     }
     _write_text(args.out, write_json(payload))
     return 0
@@ -457,7 +461,7 @@ def cmd_select(args) -> int:
     )
     metadata = {
         "command": "select",
-        "scores": str(args.scores),
+        "scores": utf8_name(args.scores),
         "population": str(len(ranking)),
     }
     _write_text(args.out, plan.to_json(metadata))
@@ -475,8 +479,8 @@ def cmd_correlate(args) -> int:
     metadata = {
         "format_version": FORMAT_VERSION,
         "command": "correlate",
-        "scores_a": str(args.scores_a),
-        "scores_b": str(args.scores_b),
+        "scores_a": utf8_name(args.scores_a),
+        "scores_b": utf8_name(args.scores_b),
     }
     _write_text(out_dir / "correlations.csv", grid.to_csv(metadata))
     _write_text(out_dir / "correlations.json", grid.to_json(metadata))
@@ -511,12 +515,12 @@ def cmd_mute_plan(args) -> int:
     # Validate every ratio before the first file is written.
     plans = [plan_mutes(manifest, args.instrument, ratio, seed) for ratio in ratios]
 
+    metadata = {
+        "command": "mute-plan",
+        "manifest": utf8_name(str(manifest_path)),
+        "train_population": str(len(manifest.song_ids("train"))),
+    }
     for plan in plans:
-        metadata = {
-            "command": "mute-plan",
-            "manifest": str(manifest_path),
-            "train_population": str(len(manifest.song_ids("train"))),
-        }
         _write_text(out_dir / f"mute_plan_{plan.ratio:.2f}.json", plan.to_json(metadata))
     print(f"wrote {len(plans)} mute plans -> {out_dir}")
     return 0
@@ -592,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="scores.csv or scores.json")
     p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--instrument", required=True)
-    p.add_argument("--criterion", required=True, choices=("top", "random", "bottom"))
+    p.add_argument("--criterion", required=True, choices=CRITERIA)
     p.add_argument("--fraction", required=True, type=float)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_select)
@@ -627,6 +631,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_environment(args)
+        if "instrument" in vars(args):
+            # A label from argv meets labels read from UTF-8 files and names.
+            args.instrument = utf8_name(args.instrument)
         return args.func(args)
     except SeparabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

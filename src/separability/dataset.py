@@ -4,12 +4,15 @@ A dataset is a directory of song folders, each holding one WAV per
 instrument ( <root>/<song_id>/<instrument>.wav ), plus a line-oriented
 manifest assigning every song to a train/valid/test split.  Audio is
 44.1 kHz WAV only; other sample rates are rejected rather than
-resampled, so no hidden DSP runs on the data being measured.
+resampled, so no hidden DSP runs on the data being measured.  Song
+and stem names are UTF-8 text in any locale: each crosses the
+filesystem as its UTF-8 bytes.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -92,9 +95,28 @@ class MultitrackSong:
         return tuple(self.stems)
 
 
+def utf8_name(name: str) -> str:
+    """A name as Python decoded it from argv or the filesystem, as UTF-8 text.
+
+    Python decodes both with the locale's encoding and escapes the bytes
+    it cannot read, so under the C locale ``cordés`` arrives as
+    ``cord\\udcc3\\udca9s``; its bytes read as UTF-8 give one text in every
+    locale.  A name that is not UTF-8 is an error.
+    """
+    try:
+        return os.fsencode(name).decode("utf-8")
+    except UnicodeDecodeError:
+        raise DatasetError(f"name {name!r} is not UTF-8") from None
+
+
+def fs_name(text: str) -> str:
+    """The filesystem's spelling of the UTF-8 name ``text``: utf8_name inverted."""
+    return os.fsdecode(text.encode("utf-8"))
+
+
 def _stem_files(song_dir: Path) -> dict[str, Path]:
-    """The song's stem WAVs by lower-cased name; ``mixture.wav`` is never a stem."""
-    files = {p.stem.lower(): p for p in sorted(song_dir.glob("*.wav"))}
+    """The song's stem WAVs by lower-cased UTF-8 name; ``mixture.wav`` is never a stem."""
+    files = {utf8_name(p.stem).lower(): p for p in sorted(song_dir.glob("*.wav"))}
     files.pop(MIXTURE_NAME, None)
     return files
 
@@ -109,6 +131,7 @@ def load_song(song_dir: Path | str, expected_instruments: Sequence[str]) -> Mult
     song_dir = Path(song_dir)
     if not song_dir.is_dir():
         raise DatasetError(f"song directory not found: {song_dir}")
+    song_id = utf8_name(song_dir.name)
     wavs = _stem_files(song_dir)
     expected = [inst.lower() for inst in expected_instruments]
 
@@ -116,13 +139,13 @@ def load_song(song_dir: Path | str, expected_instruments: Sequence[str]) -> Mult
     for label, key in zip(expected_instruments, expected):
         path = wavs.get(key)
         if path is None:
-            raise MissingStemError(f"song {song_dir.name!r} is missing stem {label!r}")
+            raise MissingStemError(f"song {song_id!r} is missing stem {label!r}")
         stems[label] = read_wav(path)
     for key, path in wavs.items():
         if key not in expected:
-            log.warning("song %r: ignoring unexpected file %s", song_dir.name, path.name)
+            log.warning("song %r: ignoring unexpected file %s", song_id, path.name)
 
-    return MultitrackSong(song_dir.name, stems)
+    return MultitrackSong(song_id, stems)
 
 
 def normalize_loudness(song: MultitrackSong) -> MultitrackSong:
@@ -185,7 +208,7 @@ class DatasetManifest:
         return tuple(s for s, sp in self.entries if split is None or sp == split)
 
     def song_dir(self, song_id: str) -> Path:
-        return self.root / song_id
+        return self.root / fs_name(song_id)
 
 
 def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> DatasetManifest:
@@ -229,7 +252,7 @@ def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> 
     song_ids = [song_id for song_id, _ in entries]
     present = []
     for song_id in dict.fromkeys(song_ids):
-        song_dir = root / song_id
+        song_dir = root / fs_name(song_id)
         if not song_dir.is_dir():
             raise DatasetError(f"manifest lists {song_id!r} but {song_dir} does not exist")
         present.append(set(_stem_files(song_dir)))

@@ -36,8 +36,8 @@ class OracleConfig:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigurationError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)

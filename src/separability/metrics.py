@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -61,9 +61,10 @@ class ErrorComponents:
     estimate exactly, and e_artif is orthogonal to every delayed copy of
     every reference channel.
 
-    used_ridge records whether the normal equations needed diagonal
-    regularization, which happens when near-silent regressors make the
-    Gram matrix numerically singular.
+    used_ridge records whether a last resort (ridge or lstsq) solved the
+    all-reference or the target-only normal equations, which happens when
+    near-silent or dependent regressors make a Gram matrix numerically
+    singular.
     """
 
     e_spat: np.ndarray
@@ -356,53 +357,48 @@ def _gram(lags: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _dense_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, str]:
+def _dense_solve(
+    gram: np.ndarray, rhs: np.ndarray, report: ScoringReport
+) -> tuple[np.ndarray, bool]:
     """Cholesky solve of the normal equations, then ridge, then lstsq.
 
-    Returns the solution and which of "cholesky", "ridge" or "lstsq" ran.
+    Returns the solution and whether a last resort (ridge or lstsq) ran;
+    each one that runs is counted in ``report``.
     """
     try:
         factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), "cholesky"
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), False
     except scipy.linalg.LinAlgError:
         pass
     ridge = 1e-10 * np.trace(gram) / gram.shape[0]
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:
         factor = scipy.linalg.cho_factor(regularized, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), "ridge"
+        solution = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        report.ridge += 1
     except scipy.linalg.LinAlgError:
-        return np.linalg.lstsq(regularized, rhs, rcond=None)[0], "lstsq"
+        solution = np.linalg.lstsq(regularized, rhs, rcond=None)[0]
+        report.lstsq += 1
+    return solution, True
 
 
-@dataclass(frozen=True, eq=False)
-class _WindowProjections:
-    """Both projections of each target's estimate in one window.
+def _window_splits(
+    refs: np.ndarray,
+    ests: np.ndarray,
+    targets: Sequence[int],
+    filter_length: int,
+    report: ScoringReport,
+) -> Iterator[tuple[np.ndarray, ErrorComponents]]:
+    """The error split of each target's estimate in one window.
 
-    p_target and p_all have shape (targets, channels, N + L - 1).
-    all_path is "levinson" when the block-Toeplitz solve was accepted,
-    otherwise the dense path that ran; target_paths has one dense path
-    per target.
-    """
-
-    p_target: np.ndarray
-    p_all: np.ndarray
-    all_path: str
-    target_paths: tuple[str, ...]
-
-    def used_ridge(self, t: int) -> bool:
-        return self.all_path in ("ridge", "lstsq") or self.target_paths[t] != "cholesky"
-
-
-def _project_window(
-    refs: np.ndarray, ests: np.ndarray, targets: Sequence[int], filter_length: int
-) -> _WindowProjections:
-    """Least-squares projections onto L-tap filtered reference channels.
-
-    refs is (J, C, N); ests[t] (C, N) estimates refs[targets[t]].  Each
-    estimate is projected onto its target's channels and onto every
-    reference channel.  All Gram entries and right-hand sides come from
-    one set of lag correlations.
+    refs is (J, C, N); ests[t] (C, N) estimates refs[targets[t]], and
+    every target is above the silence threshold.  Each estimate is
+    projected onto L-tap filtered copies of every reference channel and
+    of its target's channels; all Gram entries and right-hand sides come
+    from one set of lag correlations.  Yields (zero-padded target,
+    ErrorComponents) per target, in order, and counts into ``report`` a
+    dense fallback when the all-reference projection leaves the
+    block-Toeplitz solve, and every ridge or lstsq last resort.
     """
     n_src, n_ch, n = refs.shape
     flen = filter_length
@@ -413,37 +409,34 @@ def _project_window(
     keep = np.flatnonzero(flat.any(axis=1))
     regs = flat[keep]
     m = keep.size
-    zeros = np.zeros((len(targets), n_ch, n + flen - 1))
-    if m == 0:
-        return _WindowProjections(zeros, zeros, "cholesky", ("cholesky",) * len(targets))
     corr = _lag_correlations(np.concatenate([regs, ests.reshape(n_out, n)]), regs, flen)
     auto = corr[:, :m]  # auto[k, i, j] = sum_t r_i[t + k] r_j[t]
     cross = corr[:, m:].transpose(0, 2, 1)  # cross[k, i, c] = sum_t e_c[t + k] r_i[t]
 
     coef = _block_toeplitz_solve(auto, cross)
-    all_path = "levinson"
+    all_ridge = False
     if coef is None:
+        report.dense_fallback += 1
         gram = _gram(_full_length_lags(regs, flen))
-        coef, all_path = _dense_solve(gram, cross.transpose(1, 0, 2).reshape(m * flen, n_out))
+        rhs = cross.transpose(1, 0, 2).reshape(m * flen, n_out)
+        coef, all_ridge = _dense_solve(gram, rhs, report)
         coef = coef.reshape(m, flen, n_out).transpose(1, 0, 2)
-    p_all = _synthesize(coef, regs)
+    p_all = _synthesize(coef, regs).reshape(len(targets), n_ch, -1)
 
-    p_target = zeros.copy()
-    target_paths = []
     for t, j in enumerate(targets):
         own = np.flatnonzero(keep // n_ch == j)
-        if own.size == 0:
-            target_paths.append("cholesky")
-            continue
         channels = slice(t * n_ch, (t + 1) * n_ch)
         rhs = cross[:, own, channels].transpose(1, 0, 2).reshape(own.size * flen, n_ch)
-        filt, path = _dense_solve(_gram(auto[:, own][:, :, own]), rhs)
-        target_paths.append(path)
+        filt, target_ridge = _dense_solve(_gram(auto[:, own][:, :, own]), rhs, report)
         filters = filt.reshape(own.size, flen, n_ch).transpose(2, 0, 1)
-        p_target[t] = fftconvolve(filters, regs[own][np.newaxis]).sum(axis=1)
-    return _WindowProjections(
-        p_target, p_all.reshape(len(targets), n_ch, -1), all_path, tuple(target_paths)
-    )
+        p_target = fftconvolve(filters, regs[own][np.newaxis]).sum(axis=1)
+        s = _zero_padded(refs[j], p_all.shape[-1])
+        yield s, ErrorComponents(
+            e_spat=p_target - s,
+            e_interf=p_all[t] - p_target,
+            e_artif=_zero_padded(ests[t], p_all.shape[-1]) - p_all[t],
+            used_ridge=all_ridge or target_ridge,
+        )
 
 
 def _stacked(references: Sequence[AudioClip], estimate: AudioClip) -> np.ndarray:
@@ -462,23 +455,6 @@ def _zero_padded(x: np.ndarray, length: int) -> np.ndarray:
     out = np.zeros((x.shape[0], length))
     out[:, : x.shape[1]] = x
     return out
-
-
-def _components(
-    s_true: np.ndarray,
-    estimate: np.ndarray,
-    p_target: np.ndarray,
-    p_all: np.ndarray,
-    used_ridge: bool,
-) -> ErrorComponents:
-    """The split of one estimate; s_true is its target zero-padded like p_all."""
-    est_pad = _zero_padded(estimate, p_all.shape[-1])
-    return ErrorComponents(
-        e_spat=p_target - s_true,
-        e_interf=p_all - p_target,
-        e_artif=est_pad - p_all,
-        used_ridge=used_ridge,
-    )
 
 
 def decompose(
@@ -503,11 +479,10 @@ def decompose(
         raise InvalidInputError(f"target_index {target_index} out of range")
     if _mean_square(refs[target_index]) < config.silence_threshold:
         raise SilentReferenceError(f"reference {target_index} is silent in this window")
-    proj = _project_window(refs, estimate.samples[np.newaxis], [target_index], config.filter_length)
-    s_true = _zero_padded(refs[target_index], proj.p_all.shape[-1])
-    return _components(
-        s_true, estimate.samples, proj.p_target[0], proj.p_all[0], proj.used_ridge(0)
-    )
+    # One target, so the kernel yields one split; its counts go unread.
+    ests = estimate.samples[np.newaxis]
+    splits = _window_splits(refs, ests, [target_index], config.filter_length, ScoringReport())
+    return next(splits)[1]
 
 
 def _db_ratio(num: float, den: float) -> float:
@@ -625,9 +600,10 @@ class ScoringReport:
     """Deterministic accounting of one framewise_scores call.
 
     silent_windows[j] counts the windows where stem j fell below the
-    silence threshold (its missing scores).  dense_fallback counts the
-    windows whose all-reference projection left the block-Toeplitz
-    solve; ridge and lstsq count the projections, all-reference or
+    silence threshold (its missing scores).  The window kernel counts
+    the solver fallbacks as they happen: dense_fallback the windows whose
+    all-reference projection left the block-Toeplitz solve for the dense
+    Cholesky, ridge and lstsq the dense solves, all-reference or
     target-only, that needed those last resorts.
     """
 
@@ -687,16 +663,9 @@ def framewise_scores(
             continue
         report.windows_scored += 1
         ests = np.stack([estimates[j].samples[:, start:stop] for j in active])
-        proj = _project_window(refs, ests, active, config.filter_length)
-        paths = (proj.all_path,) + proj.target_paths
-        report.dense_fallback += proj.all_path != "levinson"
-        report.ridge += paths.count("ridge")
-        report.lstsq += paths.count("lstsq")
-        for t, j in enumerate(active):
-            s_true = _zero_padded(refs[j], proj.p_all.shape[-1])
-            comp = _components(
-                s_true, ests[t], proj.p_target[t], proj.p_all[t], proj.used_ridge(t)
-            )
+        splits = _window_splits(refs, ests, active, config.filter_length, report)
+        for t, (s_true, comp) in enumerate(splits):
+            j = active[t]
             columns["si_sdr"][j, w] = si_sdr(
                 AudioClip._from_validated(ests[t], rate), AudioClip._from_validated(refs[j], rate)
             )

@@ -85,6 +85,10 @@ class TestSelectSubset:
         with pytest.raises(InvalidInputError):
             select_subset(self.RANKING, "random", 0.5)
 
+    def test_random_rejects_negative_seed(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            select_subset(self.RANKING, "random", 0.5, seed=-1)
+
     def test_round_half_up_with_floor_one(self):
         assert len(select_subset(self.RANKING[:3], "top", 0.5).selected) == 2  # 1.5 -> 2
         assert len(select_subset(self.RANKING[:9], "top", 0.1).selected) == 1  # 0.9 -> 1
@@ -292,6 +296,10 @@ class TestMutePlans:
     def test_unknown_instrument_rejected(self):
         with pytest.raises(InvalidInputError):
             plan_mutes(self._manifest(), "kazoo", 0.1, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            plan_mutes(self._manifest(), "guitar", 0.0, -1)
 
     def test_manifest_order_does_not_matter(self):
         entries = [(f"t{i:02d}", "train") for i in range(10)]

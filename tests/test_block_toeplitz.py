@@ -106,7 +106,7 @@ def test_package_fftconvolve_is_scipys_bit_for_bit(flen, n):
         regs = gen.normal(size=(n_regs, n))
         assert_same_bits(package_fftconvolve(filters, regs), fftconvolve(filters, regs, axes=-1))
         assert_same_bits(package_fftconvolve(regs, filters), fftconvolve(regs, filters, axes=-1))
-        # _project_window convolves (C, own, L) filters with (1, own, N) regressors.
+        # _window_splits convolves (C, own, L) filters with (1, own, N) regressors.
         filters = gen.normal(size=(2, n_regs, flen))
         regs = regs[np.newaxis]
         assert_same_bits(package_fftconvolve(filters, regs), fftconvolve(filters, regs, axes=-1))

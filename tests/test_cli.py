@@ -639,11 +639,21 @@ def test_table_commands_are_utf8_in_the_c_locale(tmp_path, monkeypatch):
         for inst in ("bass", "cordés")
     ]
     (tmp_path / "scores.csv").write_bytes((CSV_HEADER_LINE + "".join(rows)).encode("utf-8"))
+    # The instrument comes from argv, which the C locale decodes as ASCII.
     commands = [
-        ["rank", "--scores", "scores.csv", "--metric", "sdr", "--instrument", "bass",
+        ["rank", "--scores", "scores.csv", "--metric", "sdr", "--instrument", "cordés",
          "--out", "{out}/rank.json"],
         ["correlate", "scores.csv", "scores.csv", "--out", "{out}/correlate"],
     ]
+    _run_in_both_locales(tmp_path, monkeypatch, commands)
+    rank = json.loads((tmp_path / "c" / "rank.json").read_bytes())
+    assert rank["instrument"] == "cordés" and "bjørk" in rank["ranking"]
+    assert "cordés".encode() in (tmp_path / "c" / "correlate" / "correlations.csv").read_bytes()
+
+
+def _run_in_both_locales(tmp_path, monkeypatch, commands):
+    """Run each argv in a C-locale subprocess writing under c/ and in-process
+    writing under utf8/, both in tmp_path; the two trees must match."""
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -655,8 +665,50 @@ def test_table_commands_are_utf8_in_the_c_locale(tmp_path, monkeypatch):
         )
         assert c_locale.returncode == main([a.format(out="utf8") for a in argv]) == 0, c_locale.stderr
     assert _tree(tmp_path / "c") == _tree(tmp_path / "utf8")
-    assert "bjørk" in json.loads((tmp_path / "c" / "rank.json").read_bytes())["ranking"]
-    assert "cordés".encode() in (tmp_path / "c" / "correlate" / "correlations.csv").read_bytes()
+
+
+def _utf8_named_dataset(root: Path, stem_name: bytes) -> Path:
+    """The tiny dataset with song00 renamed bjørk and every vocals.wav renamed stem_name."""
+    write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, n_channels=1)
+    (root / "song00").rename(root / "bjørk")
+    for song in ("bjørk", "song01"):
+        song_dir = os.fsencode(root / song)
+        os.rename(os.path.join(song_dir, b"vocals.wav"), os.path.join(song_dir, stem_name))
+    (root / "manifest.tsv").write_bytes("bjørk\ttrain\nsong01\ttrain\n".encode("utf-8"))
+    return root
+
+
+def test_dataset_commands_are_utf8_in_the_c_locale(tmp_path, monkeypatch):
+    # Song directories, stem files, the dataset path and the instrument flag
+    # all cross the filesystem or argv, which the C locale decodes as ASCII.
+    _utf8_named_dataset(tmp_path / "dataset-é", "cordés.wav".encode("utf-8"))
+    commands = [
+        ["analyze", "--dataset", "dataset-é", "--out", "{out}/analyze", *FAST_FLAGS],
+        ["mute-plan", "--dataset", "dataset-é", "--instrument", "cordés", "--ratios", "0.5",
+         "--out", "{out}/plans"],
+    ]
+    _run_in_both_locales(tmp_path, monkeypatch, commands)
+    analyze = tmp_path / "c" / "analyze"
+    assert sorted(p.name for p in (analyze / "logs").iterdir()) == ["bjørk.json", "song01.json"]
+    table = ScoreTable.from_csv((analyze / "scores.csv").read_bytes().decode("utf-8"))
+    assert table.instruments() == ("bass", "cordés", "drums")
+    assert "# dataset=dataset-é\n".encode("utf-8") in (analyze / "scores.csv").read_bytes()
+    plan = json.loads((tmp_path / "c" / "plans" / "mute_plan_0.50.json").read_bytes())
+    assert plan["instrument"] == "cordés" and plan["muted"] == ["song01"]
+
+
+def test_names_that_are_not_utf8_are_input_errors(tmp_path, capsys):
+    # Latin-1 bytes: a name no UTF-8 text can spell, whatever the locale.
+    root = _utf8_named_dataset(tmp_path / "dataset", "cord\xe9s.wav".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(root), "--out", str(out), *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: name 'cord\\udce9s' is not UTF-8") and err.count("\n") == 1
+    assert not out.exists()
+    label = os.fsdecode("cord\xe9s".encode("latin-1"))
+    assert main(["mute-plan", "--dataset", str(root), "--instrument", label, "--out", str(out)]) == 2
+    assert "is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- mute-plan ----------------------------------------------------------
@@ -737,6 +789,39 @@ def test_mute_plan_validates_ratios_before_writing(fixture_dataset, tmp_path, ca
         )
         assert code == 2, ratios
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["select", "--criterion", "random", "--seed", "-1"], {}, "seed must be >= 0"),
+        (["mute-plan", "--seed", "-1"], {}, "seed must be >= 0"),
+        (["analyze", "--alpha", "inf"], {}, "alpha must be finite"),
+        (["analyze"], {"SEPARABILITY_ALPHA": "inf"}, "alpha must be finite"),
+        (["analyze", "--workers", "-3"], {}, "--workers must be >= 1"),
+        (["analyze"], {"SEPARABILITY_WORKERS": "0"}, "--workers must be >= 1"),
+    ],
+    ids=["select-seed", "mute-plan-seed", "alpha-flag", "alpha-env", "workers-flag", "workers-env"],
+)
+def test_values_a_command_cannot_use_are_input_errors(
+    tiny_dataset, tmp_path, monkeypatch, capsys, argv, env, message
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    command, *flags = argv
+    out = tmp_path / "out"
+    table = tmp_path / "scores.csv"
+    table.write_text(CSV_HEADER_LINE + "a,bass,1,1,1,1,1\nb,bass,2,2,2,2,2\n")
+    inputs = {
+        "select": ["--scores", str(table), "--metric", "sdr", "--instrument", "bass",
+                   "--fraction", "0.5", "--out", str(out)],
+        "mute-plan": ["--dataset", str(tiny_dataset), "--instrument", "bass", "--out", str(out)],
+        "analyze": ["--dataset", str(tiny_dataset), "--out", str(out), "--filter-len", "2"],
+    }[command]
+    assert main([command, *flags, *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- environment overrides ----------------------------------------------

@@ -38,6 +38,11 @@ class TestOracleConfig:
         with pytest.raises(ConfigurationError):
             OracleConfig(**kwargs)
 
+    def test_rejects_infinite_alpha(self):
+        # |X|^inf / sum |X|^inf is 0, 1 or NaN: it would fail every song.
+        with pytest.raises(ConfigurationError, match="finite"):
+            OracleConfig(alpha=np.inf)
+
 
 class TestMaskInvariants:
     @given(

@@ -10,6 +10,7 @@ from separability import (
     FrameScores,
     InvalidInputError,
     MetricConfig,
+    ScoringReport,
     SilentReferenceError,
     aggregate_song,
     decompose,
@@ -20,7 +21,7 @@ from separability import (
     si_sdr,
     sir,
 )
-from separability.metrics import METRICS, ErrorComponents, _project_window, median_ignoring_missing
+from separability.metrics import METRICS, ErrorComponents, _window_splits, median_ignoring_missing
 from separability.synth import periodic_tone
 
 from oracles import bss_ratios
@@ -258,10 +259,9 @@ class TestFramewise:
 
 
 def _per_window_splits(references, estimates, config):
-    """framewise_scores the long way: a copy of every window, the projection
-    of its active stems, and the split of each one into zero-padded arrays.
-    Yields (window, stem, padded target, split, reference window,
-    estimate window)."""
+    """framewise_scores the long way: a copy of every window, and the split
+    of each of its active stems from the window kernel.  Yields (window,
+    stem, padded target, split, reference window, estimate window)."""
     win = references[0].sample_rate  # 1-second windows
     for w in range(references[0].n_samples // win):
         ref_w = [clip.window(w * win, (w + 1) * win) for clip in references]
@@ -272,15 +272,10 @@ def _per_window_splits(references, estimates, config):
         ]
         refs = np.stack([r.samples for r in ref_w])
         ests = np.stack([est_w[j].samples for j in active])
-        proj = _project_window(refs, ests, active, config.filter_length)
-        for t, j in enumerate(active):
-            s = np.zeros(proj.p_all[t].shape)
-            s[:, :win] = refs[j]
-            e = np.zeros_like(s)
-            e[:, :win] = ests[t]
-            comp = ErrorComponents(
-                proj.p_target[t] - s, proj.p_all[t] - proj.p_target[t], e - proj.p_all[t]
-            )
+        splits = _window_splits(refs, ests, active, config.filter_length, ScoringReport())
+        for j, (s, comp) in zip(active, splits):
+            assert s.shape == comp.e_spat.shape
+            assert np.array_equal(s[:, :win], refs[j]) and not s[:, win:].any()
             yield w, j, s, comp, ref_w[j], est_w[j]
 
 
