@@ -23,15 +23,7 @@ from .audio import AudioClip
 from .dataset import DatasetManifest, MultitrackSong
 from .errors import InvalidInputError, UndefinedCorrelationError
 from .metrics import METRICS
-from .scores import (
-    FORMAT_VERSION,
-    ScoreTable,
-    envelope,
-    metric_cells,
-    metric_json,
-    write_csv,
-    write_json,
-)
+from .scores import ScoreTable, document, envelope, metric_cells, metric_json, write_csv, write_json
 
 GENERATOR_ID = "pcg64"
 
@@ -69,19 +61,12 @@ class SelectionPlan:
     selected: tuple[str, ...]
 
     def to_json(self, metadata: Mapping[str, str] | None = None) -> str:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "selection_plan",
-            "criterion": self.criterion,
-            "fraction": self.fraction,
-            "metric": self.metric,
-            "instrument": self.instrument,
-            "seed": self.seed,
-            "generator": GENERATOR_ID if self.criterion == "random" else None,
-            "selected": list(self.selected),
-            "config": dict(metadata or {}),
-        }
-        return write_json(payload)
+        generator = GENERATOR_ID if self.criterion == "random" else None
+        return write_json(document(
+            "selection_plan", metadata or {}, criterion=self.criterion, fraction=self.fraction,
+            metric=self.metric, instrument=self.instrument, seed=self.seed,
+            generator=generator, selected=list(self.selected),
+        ))
 
 
 @dataclass(frozen=True)
@@ -92,17 +77,10 @@ class MutePlan:
     muted: tuple[str, ...]
 
     def to_json(self, metadata: Mapping[str, str] | None = None) -> str:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "mute_plan",
-            "instrument": self.instrument,
-            "ratio": self.ratio,
-            "seed": self.seed,
-            "generator": GENERATOR_ID,
-            "muted": list(self.muted),
-            "config": dict(metadata or {}),
-        }
-        return write_json(payload)
+        return write_json(document(
+            "mute_plan", metadata or {}, instrument=self.instrument, ratio=self.ratio,
+            seed=self.seed, generator=GENERATOR_ID, muted=list(self.muted),
+        ))
 
 
 def rank_songs(table: ScoreTable, metric: str, instrument: str) -> list[str]:

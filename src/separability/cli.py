@@ -57,6 +57,7 @@ from .scores import (
     FORMAT_VERSION,
     ScoreTable,
     aggregate_dataset,
+    document,
     envelope,
     format_score,
     metric_json,
@@ -436,15 +437,9 @@ def cmd_analyze(args) -> int:
 def cmd_rank(args) -> int:
     table = _load_table(Path(args.scores))
     ranking = rank_songs(table, args.metric, args.instrument)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "ranking",
-        "metric": args.metric,
-        "instrument": args.instrument,
-        "ranking": ranking,
-        "config": {"command": "rank", "scores": utf8_name(args.scores)},
-    }
-    _write_text(args.out, write_json(payload))
+    config = {"command": "rank", "scores": utf8_name(args.scores)}
+    body = {"metric": args.metric, "instrument": args.instrument, "ranking": ranking}
+    _write_text(args.out, write_json(document("ranking", config, **body)))
     return 0
 
 

@@ -22,6 +22,7 @@ import scipy.io.wavfile
 
 from .audio import AudioClip
 from .errors import AlignmentError, DatasetError, MissingStemError
+from .scores import cell_label_fault
 
 log = logging.getLogger(__name__)
 
@@ -116,7 +117,10 @@ def fs_name(text: str) -> str:
 
 def _stem_files(song_dir: Path) -> dict[str, Path]:
     """The song's stem WAVs by lower-cased UTF-8 name; ``mixture.wav`` is never a stem."""
-    files = {utf8_name(p.stem).lower(): p for p in sorted(song_dir.glob("*.wav"))}
+    try:
+        files = {utf8_name(p.stem).lower(): p for p in sorted(song_dir.glob("*.wav"))}
+    except DatasetError as exc:
+        raise DatasetError(f"{exc} in song directory {song_dir}") from None
     files.pop(MIXTURE_NAME, None)
     return files
 
@@ -262,9 +266,7 @@ def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> 
     if not instruments:
         raise DatasetError("no instrument stems shared by every listed song")
     for label in (*song_ids, *instruments):
-        if "," in label:
-            raise DatasetError(
-                f"{manifest_path}: {label!r} contains ',', which CSV cells cannot hold"
-            )
+        if fault := cell_label_fault(label):
+            raise DatasetError(f"{manifest_path}: {fault}")
 
     return DatasetManifest(root, tuple(entries), instruments)

@@ -7,9 +7,15 @@ printed with six decimal places (round-half-even) so that repeated runs
 diff cleanly.
 Every CSV file starts with '# key=value' metadata lines carrying a format
 version and the resolved configuration of the run that produced it;
-every JSON file is indented by two spaces.  This module is the only one
-that knows that format: the other modules hand their rows and payloads
-to ``write_csv``, ``write_json`` and ``envelope``.
+every JSON file is indented by two spaces.  A table's JSON (``envelope``)
+opens with the format version and the configuration; a command's
+document (``document``: a ranking, a subset or a mute plan) opens with
+the format version and its kind and ends with the configuration.  The
+other modules hand their rows and bodies to ``write_csv``, ``envelope``
+and ``document``, and every JSON payload to ``write_json``; only a
+per-song log is laid out by ``cli``, with ``FORMAT_VERSION`` first.
+This module also owns the rule for what a song id or instrument label
+may hold (``cell_label_fault``).
 """
 
 from __future__ import annotations
@@ -81,6 +87,21 @@ def envelope(metadata: Mapping[str, str], **body) -> dict:
     }
 
 
+def document(kind: str, config: Mapping[str, str], /, **body) -> dict:
+    """``format_version``, ``kind``, the body's keys, then the command's configuration."""
+    return {"format_version": FORMAT_VERSION, "kind": kind, **body, "config": dict(config)}
+
+
+def cell_label_fault(label: str) -> str | None:
+    """Why ``label`` cannot be a CSV cell (it holds a comma or a line break), or None."""
+    if "," in label:
+        return f"{label!r} contains ',', which CSV cells cannot hold"
+    # str.splitlines drops every line break, so a label it changes holds one.
+    if "".join(label.splitlines()) != label:
+        return f"{label!r} contains a line break, which CSV cells cannot hold"
+    return None
+
+
 class ScoreTable:
     """Ordered collection of per-(song, instrument) metric rows."""
 
@@ -93,8 +114,8 @@ class ScoreTable:
 
     def add_row(self, song_id: str, instrument: str, values: Mapping[str, float]) -> None:
         for label in (song_id, instrument):
-            if "," in label:
-                raise InvalidInputError(f"{label!r} contains ',', which CSV cells cannot hold")
+            if fault := cell_label_fault(label):
+                raise InvalidInputError(fault)
         unknown = set(values) - set(METRICS)
         if unknown:
             raise InvalidInputError(f"unknown metrics in row: {sorted(unknown)}")

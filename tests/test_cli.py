@@ -651,20 +651,24 @@ def test_table_commands_are_utf8_in_the_c_locale(tmp_path, monkeypatch):
     assert "cordés".encode() in (tmp_path / "c" / "correlate" / "correlations.csv").read_bytes()
 
 
-def _run_in_both_locales(tmp_path, monkeypatch, commands):
+def _run_in_both_locales(tmp_path, monkeypatch, commands, code=0):
     """Run each argv in a C-locale subprocess writing under c/ and in-process
-    writing under utf8/, both in tmp_path; the two trees must match."""
+    writing under utf8/, both in tmp_path; each run must exit with ``code``
+    and the two trees must match.  Returns the C-locale runs' stderr."""
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     monkeypatch.chdir(tmp_path)
+    errors = []
     for argv in commands:
         c_locale = subprocess.run(
             [sys.executable, "-m", "separability", *(a.format(out="c") for a in argv)],
             env=env, capture_output=True, text=True,
         )
-        assert c_locale.returncode == main([a.format(out="utf8") for a in argv]) == 0, c_locale.stderr
+        assert c_locale.returncode == main([a.format(out="utf8") for a in argv]) == code, c_locale.stderr
+        errors.append(c_locale.stderr)
     assert _tree(tmp_path / "c") == _tree(tmp_path / "utf8")
+    return errors
 
 
 def _utf8_named_dataset(root: Path, stem_name: bytes) -> Path:
@@ -709,6 +713,31 @@ def test_names_that_are_not_utf8_are_input_errors(tmp_path, capsys):
     assert main(["mute-plan", "--dataset", str(root), "--instrument", label, "--out", str(out)]) == 2
     assert "is not UTF-8" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", ["\u2028", "\r"])
+def test_a_stem_name_holding_a_line_break_is_an_input_error(tmp_path, monkeypatch, capsys, brk):
+    # A line break in an instrument label would split its CSV rows and the
+    # '# instruments=' metadata line, so the table could not be read back.
+    _utf8_named_dataset(tmp_path / "dataset", f"voc{brk}als.wav".encode("utf-8"))
+    commands = [
+        ["analyze", "--dataset", "dataset", "--out", "{out}/analyze", *FAST_FLAGS],
+        ["mute-plan", "--dataset", "dataset", "--instrument", "bass", "--out", "{out}/plans"],
+    ]
+    errors = _run_in_both_locales(tmp_path, monkeypatch, commands, code=2)
+    assert capsys.readouterr().err == "".join(errors)
+    manifest = Path("dataset", "manifest.tsv")
+    expected = f"error: {manifest}: {f'voc{brk}als'!r} contains a line break, "
+    for err in errors:
+        assert err.startswith(expected) and err.count("\n") == 1
+    assert not (tmp_path / "c").exists() and not (tmp_path / "utf8").exists()
+
+
+def test_a_stem_name_that_is_not_utf8_names_its_song_directory(tmp_path, capsys):
+    root = _utf8_named_dataset(tmp_path / "dataset", "cord\xe9s.wav".encode("latin-1"))
+    assert main(["mute-plan", "--dataset", str(root), "--instrument", "bass", "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: name 'cord\\udce9s' is not UTF-8 in song directory {root / 'bjørk'}\n"
 
 
 # -- mute-plan ----------------------------------------------------------

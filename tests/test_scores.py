@@ -60,6 +60,18 @@ class TestTable:
             table.add_row(song_id, instrument, {"sdr": 1.0})
         assert len(table) == 0
 
+    # Every separator str.splitlines splits on: each would end a CSV row, or
+    # the '# instruments=' metadata line, that holds the label.
+    @pytest.mark.parametrize("brk", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029") + ["\r\n"])
+    @pytest.mark.parametrize("position", ["song_id", "instrument"])
+    def test_line_break_in_label_rejected(self, brk, position):
+        label = f"voc{brk}als"
+        song_id, instrument = (label, "bass") if position == "song_id" else ("a", label)
+        table = ScoreTable()
+        with pytest.raises(InvalidInputError, match="contains a line break"):
+            table.add_row(song_id, instrument, {"sdr": 1.0})
+        assert len(table) == 0
+
     def test_missing_row_reads_as_missing(self):
         table = _table([("a", "bass", 1.0)])
         assert math.isnan(table.value("zzz", "bass", "si_sdr"))
@@ -126,6 +138,13 @@ class TestJson:
         back = ScoreTable.from_json(text)
         assert back.value("a", "bass", "si_sdr") == 1.25
         assert math.isnan(back.value("b", "bass", "si_sdr"))
+
+    @pytest.mark.parametrize("label", ["voc\u2028als", "voc\rals"])
+    def test_line_break_in_label_rejected(self, label):
+        rows = [{"song_id": "a", "instrument": label, "sdr": 1.0}]
+        text = json.dumps({"format_version": "1", "config": {}, "rows": rows})
+        with pytest.raises(InvalidInputError, match="contains a line break"):
+            ScoreTable.from_json(text)
 
     def test_values_rounded_to_six_decimals(self):
         table = ScoreTable()
