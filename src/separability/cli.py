@@ -193,20 +193,6 @@ def _dsp_metadata(
 # -- analyze -----------------------------------------------------------
 
 
-def _accounting(report: ScoringReport, instruments) -> dict:
-    """Window and solver counts of one song, in log order."""
-    return {
-        "windows_scored": report.windows_scored,
-        "silent_windows": dict(zip(instruments, report.silent_windows)),
-        "tail_samples_unscored": report.tail_samples_unscored,
-        "solver_fallbacks": {
-            "dense": report.dense_fallback,
-            "ridge": report.ridge,
-            "lstsq": report.lstsq,
-        },
-    }
-
-
 # NumPy's and SciPy's wheels each bundle an OpenBLAS: (package, library
 # glob relative to its site directory, suffix of the exported symbols).
 _OPENBLAS_LIBRARIES = (
@@ -263,27 +249,36 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _failed_result(payload, exc: BaseException) -> dict:
-    """The error row of the song ``payload`` describes."""
-    song_dir, _, split = payload[:3]
+def _song_log(job, error: BaseException | None = None, report=None, frames=()) -> dict:
+    """The log of the song ``job`` describes, in file order, with float scores.
+
+    A failed song passes its ``error`` and gets zero counts and no scores.
+    A plain dict pickles cheaply and identically whichever process built it.
+    """
+    song_dir, instruments, split = job[:3]
+    report = ScoringReport() if report is None else report
     return {
+        "format_version": FORMAT_VERSION,
         "song_id": utf8_name(Path(song_dir).name),
         "split": split,
-        "status": "error",
-        "error": f"{type(exc).__name__}: {exc}",
-        "n_windows": 0,
-        "accounting": _accounting(ScoringReport(), ()),
-        "scores": {},
+        "status": "ok" if error is None else "error",
+        "error": None if error is None else f"{type(error).__name__}: {error}",
+        "n_windows": frames[0].n_windows if frames else 0,
+        "windows_scored": report.windows_scored,
+        "silent_windows": dict(zip(instruments, report.silent_windows)),
+        "tail_samples_unscored": report.tail_samples_unscored,
+        "solver_fallbacks": {
+            "dense": report.dense_fallback,
+            "ridge": report.ridge,
+            "lstsq": report.lstsq,
+        },
+        "scores": {inst: aggregate_song(fr) for inst, fr in zip(instruments, frames)},
     }
 
 
-def _song_job(payload):
-    """Score one song; runs in a worker process, shares nothing.
-
-    Returns a plain dict so results pickle cheaply and identically no
-    matter which process produced them.
-    """
-    (song_dir, instruments, split, stft_config, oracle_config, metric_config, normalize) = payload
+def _song_job(job) -> dict:
+    """Score one song and return its log; runs in a worker process, shares nothing."""
+    (song_dir, instruments, _, stft_config, oracle_config, metric_config, normalize) = job
     try:
         song = load_song(song_dir, instruments)
         if normalize:
@@ -292,23 +287,13 @@ def _song_job(payload):
         estimates = oracle_separate(make_mixture(song), stems, stft_config, oracle_config)
         report = ScoringReport()
         frames = framewise_scores(stems, estimates, metric_config, report)
-        return {
-            "song_id": song.song_id,
-            "split": split,
-            "status": "ok",
-            "error": None,
-            "n_windows": frames[0].n_windows,
-            "accounting": _accounting(report, instruments),
-            "scores": {
-                inst: aggregate_song(fr) for inst, fr in zip(instruments, frames)
-            },
-        }
     except Exception as exc:
-        return _failed_result(payload, exc)
+        return _song_log(job, error=exc)
+    return _song_log(job, report=report, frames=frames)
 
 
 def _pool_results(jobs: list, workers: int) -> list[dict]:
-    """Score ``jobs`` in a pool of ``workers`` processes, in job order.
+    """The logs of ``jobs``, scored in a pool of ``workers`` processes, in job order.
 
     A worker that dies (killed by the OOM killer, a crash in native
     code) breaks the pool and loses the result of every song still
@@ -337,7 +322,7 @@ def _pool_results(jobs: list, workers: int) -> list[dict]:
                 with ProcessPoolExecutor(max_workers=1, initializer=_pin_blas_threads) as pool:
                     results[i] = pool.submit(_song_job, job).result()
             except BrokenProcessPool as exc:
-                results[i] = _failed_result(job, exc)
+                results[i] = _song_log(job, error=exc)
     return results
 
 
@@ -391,16 +376,14 @@ def cmd_analyze(args) -> int:
 
     with _one_blas_thread():
         if workers <= 1:
-            results = [_song_job(job) for job in jobs]
+            logs = [_song_job(job) for job in jobs]
         else:
-            results = _pool_results(jobs, workers)
+            logs = _pool_results(jobs, workers)
 
     table = ScoreTable(metadata)
-    for result in results:
-        if result["status"] != "ok":
-            continue
-        for inst in manifest.instruments:
-            table.add_row(result["song_id"], inst, result["scores"][inst])
+    for log in logs:
+        for inst, values in log["scores"].items():
+            table.add_row(log["song_id"], inst, values)
 
     _write_text(out_dir / "scores.csv", table.to_csv())
     _write_text(out_dir / "scores.json", table.to_json())
@@ -410,24 +393,15 @@ def cmd_analyze(args) -> int:
     _write_text(out_dir / "summary.json", write_json(envelope(metadata, summary=summary_payload)))
     _write_text(out_dir / "separability_curve.csv", _curve_csv(table, metadata))
 
-    for result in results:
-        log_payload = {
-            "format_version": FORMAT_VERSION,
-            "song_id": result["song_id"],
-            "split": result["split"],
-            "status": result["status"],
-            "error": result["error"],
-            "n_windows": result["n_windows"],
-            **result["accounting"],
-            "scores": {inst: metric_json(values) for inst, values in result["scores"].items()},
-        }
-        log_name = fs_name(f"{result['song_id']}.json")
-        _write_text(out_dir / "logs" / log_name, write_json(log_payload))
+    for log in logs:
+        scores = {inst: metric_json(values) for inst, values in log["scores"].items()}
+        log_name = fs_name(f"{log['song_id']}.json")
+        _write_text(out_dir / "logs" / log_name, write_json({**log, "scores": scores}))
 
-    failed = [r["song_id"] for r in results if r["status"] != "ok"]
+    failed = [log["song_id"] for log in logs if log["status"] != "ok"]
     for song_id in failed:
         print(f"failed: {song_id}", file=sys.stderr)
-    print(f"analyzed {len(results) - len(failed)}/{len(results)} songs -> {out_dir}")
+    print(f"analyzed {len(logs) - len(failed)}/{len(logs)} songs -> {out_dir}")
     return 1 if failed else 0
 
 
@@ -508,6 +482,11 @@ def cmd_mute_plan(args) -> int:
     out_dir = _out_dir(args)
 
     # Validate every ratio before the first file is written.
+    names = [f"mute_plan_{ratio:.2f}.json" for ratio in ratios]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            first = ratios[names.index(name)]
+            raise InvalidInputError(f"ratios {first} and {ratios[i]} both write {name}")
     plans = [plan_mutes(manifest, args.instrument, ratio, seed) for ratio in ratios]
 
     metadata = {
@@ -515,8 +494,8 @@ def cmd_mute_plan(args) -> int:
         "manifest": utf8_name(str(manifest_path)),
         "train_population": str(len(manifest.song_ids("train"))),
     }
-    for plan in plans:
-        _write_text(out_dir / f"mute_plan_{plan.ratio:.2f}.json", plan.to_json(metadata))
+    for name, plan in zip(names, plans):
+        _write_text(out_dir / name, plan.to_json(metadata))
     print(f"wrote {len(plans)} mute plans -> {out_dir}")
     return 0
 

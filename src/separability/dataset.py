@@ -116,11 +116,23 @@ def fs_name(text: str) -> str:
 
 
 def _stem_files(song_dir: Path) -> dict[str, Path]:
-    """The song's stem WAVs by lower-cased UTF-8 name; ``mixture.wav`` is never a stem."""
-    try:
-        files = {utf8_name(p.stem).lower(): p for p in sorted(song_dir.glob("*.wav"))}
-    except DatasetError as exc:
-        raise DatasetError(f"{exc} in song directory {song_dir}") from None
+    """The song's stem WAVs by lower-cased UTF-8 name; ``mixture.wav`` is never a stem.
+
+    Two stems whose names differ only in case are an error: either one
+    could be the instrument.
+    """
+    files: dict[str, Path] = {}
+    for path in sorted(song_dir.glob("*.wav")):
+        try:
+            key = utf8_name(path.stem).lower()
+        except DatasetError as exc:
+            raise DatasetError(f"{exc} in song directory {song_dir}") from None
+        if key in files and key != MIXTURE_NAME:
+            raise DatasetError(
+                f"song directory {song_dir} holds {utf8_name(files[key].name)!r} and"
+                f" {utf8_name(path.name)!r}, whose names differ only in case"
+            )
+        files[key] = path
     files.pop(MIXTURE_NAME, None)
     return files
 

@@ -13,7 +13,8 @@ document (``document``: a ranking, a subset or a mute plan) opens with
 the format version and its kind and ends with the configuration.  The
 other modules hand their rows and bodies to ``write_csv``, ``envelope``
 and ``document``, and every JSON payload to ``write_json``; only a
-per-song log is laid out by ``cli``, with ``FORMAT_VERSION`` first.
+per-song log is laid out outside this module, by ``cli._song_log``
+alone, with ``FORMAT_VERSION`` first and the scores last.
 This module also owns the rule for what a song id or instrument label
 may hold (``cell_label_fault``).
 """

@@ -150,6 +150,26 @@ def test_singular_gram_takes_dense_fallback():
     assert (report.dense_fallback, report.ridge, report.lstsq) == (1, 1, 0)
 
 
+def test_recursion_that_breaks_down_past_order_zero_takes_dense_fallback():
+    # A copy delayed by 3 taps, with the original's last 3 samples zero so
+    # the delay loses nothing: the regressors are independent up to
+    # order 3 and exactly dependent from order 4 on.
+    gen = np.random.Generator(np.random.PCG64(3))
+    base = gen.normal(size=(1, 8000))
+    base[:, -3:] = 0.0
+    x = np.concatenate([base, np.roll(base, 3, axis=1)])
+    lags = direct_lags(x, x, 16)
+    assert _levinson(lags[:3]) is not None
+    assert _levinson(lags[:4]) is None
+
+    refs = [AudioClip(row[None], 8000) for row in x]
+    ests = [AudioClip(r.samples + gen.normal(0.0, 0.1, r.samples.shape), 8000) for r in refs]
+    report = ScoringReport()
+    framewise_scores(refs, ests, MetricConfig(filter_length=16), report)
+    # Rounding decides whether the dense Cholesky then needs its ridge.
+    assert report.dense_fallback == 1
+
+
 def test_framewise_scores_match_dense_oracle_at_four_stereo_stems():
     rate, n_src = 4000, 4
     gen = np.random.Generator(np.random.PCG64(21))

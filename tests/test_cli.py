@@ -240,6 +240,31 @@ def test_analyze_broken_song_fails_softly(tmp_path, capsys):
     assert log["scores"] == {}
 
 
+def test_a_window_where_every_stem_is_silent_is_counted_in_the_log(tmp_path):
+    root = tmp_path / "ds"
+    write_fixture_dataset(root, n_songs=1, seed=5, duration=3.0, n_channels=1)
+    for path in (root / "song00").glob("*.wav"):
+        rate, data = scipy.io.wavfile.read(path)
+        data[rate : 2 * rate] = 0.0
+        scipy.io.wavfile.write(path, rate, data)
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(root), "--out", str(out_dir)] + FAST_FLAGS) == 0
+    log = json.loads((out_dir / "logs" / "song00.json").read_text())
+    assert (log["n_windows"], log["windows_scored"]) == (3, 2)
+    assert log["silent_windows"] == {"bass": 1, "drums": 1, "vocals": 1}
+
+
+def test_stems_differing_only_in_case_are_an_input_error(tmp_path, capsys):
+    root = tmp_path / "ds"
+    write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, n_channels=1)
+    (root / "song00" / "Bass.wav").write_bytes((root / "song00" / "bass.wav").read_bytes())
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(root), "--out", str(out_dir)] + FAST_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert f"song directory {root / 'song00'} holds 'Bass.wav' and 'bass.wav'" in err
+    assert not out_dir.exists()
+
+
 def _tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -821,6 +846,23 @@ def test_mute_plan_validates_ratios_before_writing(fixture_dataset, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "ratios, first, second, name",
+    [
+        ("0.001,0.004,0.5", "0.001", "0.004", "mute_plan_0.00.json"),
+        ("0.05,0.05", "0.05", "0.05", "mute_plan_0.05.json"),
+    ],
+)
+def test_mute_plan_ratios_sharing_a_file_name_are_input_errors(
+    fixture_dataset, tmp_path, capsys, ratios, first, second, name
+):
+    out_dir = tmp_path / "plans"
+    argv = ["mute-plan", "--manifest", str(fixture_dataset), "--instrument", "bass"]
+    assert main(argv + ["--ratios", ratios, "--out", str(out_dir)]) == 2
+    assert f"ratios {first} and {second} both write {name}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "argv, env, message",
     [
         (["select", "--criterion", "random", "--seed", "-1"], {}, "seed must be >= 0"),
@@ -872,6 +914,26 @@ def test_flag_beats_environment(monkeypatch):
     args = cli.build_parser().parse_args(["analyze", "--filter-len", "25"])
     cli._apply_environment(args)
     assert cli._configs(args)[2].filter_length == 25
+
+
+@pytest.mark.parametrize("word", ["0", "off"])
+def test_a_false_fast_metrics_variable_leaves_the_filter_length(monkeypatch, word):
+    monkeypatch.setenv("SEPARABILITY_FAST_METRICS", word)
+    monkeypatch.setenv("SEPARABILITY_FILTER_LEN", "3")
+    args = cli.build_parser().parse_args(["analyze"])
+    cli._apply_environment(args)
+    assert cli._configs(args)[2].filter_length == 3
+
+
+def test_a_fast_metrics_variable_that_is_not_a_boolean_is_a_usage_error(
+    tiny_dataset, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("SEPARABILITY_FAST_METRICS", "maybe")
+    out = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(tiny_dataset), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad value for SEPARABILITY_FAST_METRICS: not a boolean: 'maybe'" in err
+    assert not out.exists()
 
 
 def test_bad_env_value_is_a_usage_error(monkeypatch, capsys):

@@ -295,6 +295,22 @@ class TestManifest:
         assert m.instruments == ("bass", "drums")
         assert sorted(listed) == ["s1", "s2", "s3"]
 
+    def test_stems_differing_only_in_case_rejected(self, tmp_path, rng):
+        manifest = self._dataset(tmp_path, rng)
+        write_wav(tmp_path / "s2" / "Bass.wav", _clip(rng))
+        with pytest.raises(DatasetError, match="differ only in case") as info:
+            load_manifest(manifest)
+        assert str(tmp_path / "s2") in str(info.value)
+        assert "'Bass.wav' and 'bass.wav'" in str(info.value)
+        with pytest.raises(DatasetError, match="differ only in case"):
+            load_song(tmp_path / "s2", ["bass", "drums"])
+
+    def test_mixtures_differing_only_in_case_are_not_stems(self, tmp_path, rng):
+        manifest = self._dataset(tmp_path, rng)
+        write_wav(tmp_path / "s1" / "mixture.wav", _clip(rng))
+        write_wav(tmp_path / "s1" / "Mixture.wav", _clip(rng))
+        assert load_manifest(manifest).instruments == ("bass", "drums")
+
     def test_load_through_manifest(self, tmp_path, rng):
         m = load_manifest(self._dataset(tmp_path, rng))
         song = load_song(m.song_dir("s1"), m.instruments)

@@ -238,6 +238,21 @@ class TestFramewise:
         # The other stem is live everywhere, so nothing is missing there.
         assert not np.any(np.isnan(frames[1].si_sdr))
 
+    def test_window_where_every_stem_is_silent_is_skipped(self, rng):
+        sr = 8000
+        refs = [rng.normal(0, 0.5, (1, 3 * sr)) for _ in range(2)]
+        for samples in refs:
+            samples[:, sr : 2 * sr] = 0.0
+        ests = [AudioClip(r + rng.normal(0, 0.01, r.shape), sr) for r in refs]
+        report = ScoringReport()
+        frames = framewise_scores([AudioClip(r, sr) for r in refs], ests, FAST, report)
+        for fr in frames:
+            for name in METRICS:
+                assert np.isnan(fr.values(name)[1]), name
+                assert not np.any(np.isnan(fr.values(name)[[0, 2]])), name
+        assert report.windows_scored == 2
+        assert report.silent_windows == [1, 1]
+
     def test_constant_windows_give_constant_scores(self, rng):
         sr = 8000
         tile_ref = rng.normal(0, 0.5, (1, sr))
