@@ -129,7 +129,7 @@ def _write_text(path: Path | str | None, text: str) -> None:
 
 def _load_table(path: Path) -> ScoreTable:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from None
     if path.suffix.lower() == ".json":
@@ -249,17 +249,17 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _song_log(job, error: BaseException | None = None, report=None, frames=()) -> dict:
-    """The log of the song ``job`` describes, in file order, with float scores.
+def _song_log(job, error=None, instruments=(), report=None, frames=()) -> dict:
+    """The log of the song ``job`` names, in file order, with float scores.
 
     A failed song passes its ``error`` and gets zero counts and no scores.
     A plain dict pickles cheaply and identically whichever process built it.
     """
-    song_dir, instruments, split = job[:3]
+    _, song_id, split = job
     report = ScoringReport() if report is None else report
     return {
         "format_version": FORMAT_VERSION,
-        "song_id": utf8_name(Path(song_dir).name),
+        "song_id": song_id,
         "split": split,
         "status": "ok" if error is None else "error",
         "error": None if error is None else f"{type(error).__name__}: {error}",
@@ -276,11 +276,15 @@ def _song_log(job, error: BaseException | None = None, report=None, frames=()) -
     }
 
 
-def _song_job(job) -> dict:
-    """Score one song and return its log; runs in a worker process, shares nothing."""
-    (song_dir, instruments, _, stft_config, oracle_config, metric_config, normalize) = job
+def _song_job(instruments, stft_config, oracle_config, metric_config, normalize, job) -> dict:
+    """Score one song and return its log; runs in a worker process, shares nothing.
+
+    ``cmd_analyze`` binds the run's settings once, so a job is just the
+    song: ``(song_dir, song_id, split)``, the id and split as the manifest
+    spells them.
+    """
     try:
-        song = load_song(song_dir, instruments)
+        song = load_song(job[0], instruments)
         if normalize:
             song = normalize_loudness(song)
         stems = [song.stems[inst] for inst in instruments]
@@ -289,11 +293,11 @@ def _song_job(job) -> dict:
         frames = framewise_scores(stems, estimates, metric_config, report)
     except Exception as exc:
         return _song_log(job, error=exc)
-    return _song_log(job, report=report, frames=frames)
+    return _song_log(job, instruments=instruments, report=report, frames=frames)
 
 
-def _pool_results(jobs: list, workers: int) -> list[dict]:
-    """The logs of ``jobs``, scored in a pool of ``workers`` processes, in job order.
+def _pool_results(run, jobs: list, workers: int) -> list[dict]:
+    """The logs ``run`` gives ``jobs``, in a pool of ``workers`` processes, in job order.
 
     A worker that dies (killed by the OOM killer, a crash in native
     code) breaks the pool and loses the result of every song still
@@ -310,7 +314,7 @@ def _pool_results(jobs: list, workers: int) -> list[dict]:
         futures = []
         for job in jobs:
             try:
-                futures.append(pool.submit(_song_job, job))
+                futures.append(pool.submit(run, job))
             except BrokenProcessPool:
                 break
         for i, future in enumerate(futures):
@@ -320,7 +324,7 @@ def _pool_results(jobs: list, workers: int) -> list[dict]:
         if results[i] is None:
             try:
                 with ProcessPoolExecutor(max_workers=1, initializer=_pin_blas_threads) as pool:
-                    results[i] = pool.submit(_song_job, job).result()
+                    results[i] = pool.submit(run, job).result()
             except BrokenProcessPool as exc:
                 results[i] = _song_log(job, error=exc)
     return results
@@ -349,18 +353,14 @@ def cmd_analyze(args) -> int:
     normalize = bool(args.normalize)
 
     manifest = load_manifest(manifest_path, root=dataset)
+    # An output directory that cannot be made would lose every song's work.
+    out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [
-        (
-            str(manifest.song_dir(song_id)),
-            manifest.instruments,
-            split,
-            stft_config,
-            oracle_config,
-            metric_config,
-            normalize,
-        )
-        for song_id, split in sorted(manifest.entries)
+        (manifest.song_dir(song_id), song_id, split) for song_id, split in sorted(manifest.entries)
     ]
+    run = functools.partial(
+        _song_job, manifest.instruments, stft_config, oracle_config, metric_config, normalize
+    )
 
     metadata = {
         "format_version": FORMAT_VERSION,
@@ -376,9 +376,9 @@ def cmd_analyze(args) -> int:
 
     with _one_blas_thread():
         if workers <= 1:
-            logs = [_song_job(job) for job in jobs]
+            logs = [run(job) for job in jobs]
         else:
-            logs = _pool_results(jobs, workers)
+            logs = _pool_results(run, jobs, workers)
 
     table = ScoreTable(metadata)
     for log in logs:
@@ -609,10 +609,7 @@ def main(argv=None) -> int:
             # A label from argv meets labels read from UTF-8 files and names.
             args.instrument = utf8_name(args.instrument)
         return args.func(args)
-    except SeparabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SeparabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,6 +197,15 @@ def make_mixture(song: MultitrackSong) -> AudioClip:
     return AudioClip(total, first.sample_rate)
 
 
+def _entry_fault(song_id: str, split: str, earlier) -> str | None:
+    """Why a manifest entry listed after the song ids ``earlier`` is refused, or None."""
+    if split not in SPLITS:
+        return f"song {song_id!r}: unknown split {split!r}, expected one of {SPLITS}"
+    if song_id in earlier:
+        return f"song {song_id!r} listed twice in manifest"
+    return None
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Dataset bookkeeping: root, song/split assignments, instrument labels."""
@@ -208,12 +217,8 @@ class DatasetManifest:
     def __post_init__(self):
         seen = set()
         for song_id, split in self.entries:
-            if split not in SPLITS:
-                raise DatasetError(
-                    f"song {song_id!r}: unknown split {split!r}, expected one of {SPLITS}"
-                )
-            if song_id in seen:
-                raise DatasetError(f"song {song_id!r} listed twice in manifest")
+            if fault := _entry_fault(song_id, split, seen):
+                raise DatasetError(fault)
             seen.add(song_id)
         if not self.instruments:
             raise DatasetError("manifest declares no instruments")
@@ -231,8 +236,10 @@ def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> 
     """Parse a song_id<TAB>split manifest file.
 
     Each song id names one directory directly under the dataset root,
-    which defaults to the manifest's directory; an id holding a path
-    separator, or ``..``, is rejected before any directory is listed.
+    which defaults to the manifest's directory.  An id holding a path
+    separator, or ``..``, an id listed twice and an unknown split are
+    rejected at their line, before any directory is listed.  A leading
+    UTF-8 byte-order mark is skipped.
     The instruments are always discovered: the WAV names present in
     every listed song directory (mixture excluded).
     """
@@ -242,10 +249,10 @@ def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> 
         raise DatasetError(f"manifest not found: {manifest_path}")
 
     try:
-        text = manifest_path.read_text(encoding="utf-8")
+        text = manifest_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{manifest_path}: not UTF-8 text: {exc}") from None
-    entries: list[tuple[str, str]] = []
+    entries: dict[str, str] = {}  # song id -> split, in manifest order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -261,13 +268,14 @@ def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> 
             raise DatasetError(
                 f"{manifest_path}:{lineno}: song id {song_id!r} is not one directory name"
             )
-        entries.append((song_id, split))
+        if fault := _entry_fault(song_id, split, entries):
+            raise DatasetError(f"{manifest_path}:{lineno}: {fault}")
+        entries[song_id] = split
     if not entries:
         raise DatasetError(f"{manifest_path}: no songs listed")
 
-    song_ids = [song_id for song_id, _ in entries]
     present = []
-    for song_id in dict.fromkeys(song_ids):
+    for song_id in entries:
         song_dir = root / fs_name(song_id)
         if not song_dir.is_dir():
             raise DatasetError(f"manifest lists {song_id!r} but {song_dir} does not exist")
@@ -277,8 +285,8 @@ def load_manifest(manifest_path: Path | str, root: Path | str | None = None) -> 
     instruments = tuple(sorted(set.intersection(*present)))
     if not instruments:
         raise DatasetError("no instrument stems shared by every listed song")
-    for label in (*song_ids, *instruments):
+    for label in (*entries, *instruments):
         if fault := cell_label_fault(label):
             raise DatasetError(f"{manifest_path}: {fault}")
 
-    return DatasetManifest(root, tuple(entries), instruments)
+    return DatasetManifest(root, tuple(entries.items()), instruments)

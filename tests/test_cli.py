@@ -208,8 +208,22 @@ def test_analyze_workers_match_serial(tiny_dataset, tmp_path):
     base = ["analyze", "--dataset", str(tiny_dataset)] + FAST_FLAGS
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--out", str(parallel), "--workers", "2"]) == 0
-    for name in ("scores.csv", "summary.json", "separability_curve.csv"):
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    tree = _tree(serial)
+    assert "logs/song01.json" in {str(name) for name in tree}
+    assert _tree(parallel) == tree
+
+
+def test_an_output_path_that_cannot_be_a_directory_fails_before_any_song(
+    tiny_dataset, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "outfile"
+    out.write_text("not a directory")
+    loads = []
+    monkeypatch.setattr(cli, "load_song", lambda *args: loads.append(args))
+    argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(out)] + FAST_FLAGS
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(out)!r}\n"
+    assert loads == []
 
 
 def test_analyze_normalize_changes_scores_and_is_recorded(tiny_dataset, tmp_path):
@@ -405,7 +419,7 @@ def test_analyze_restores_the_callers_blas_threads(tiny_dataset, tmp_path, monke
         assert main(base + FAST_FLAGS) == 0
         assert _blas_threads() == (2, 2)
 
-        def fail(payload):
+        def fail(*args):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(cli, "_song_job", fail)
@@ -493,6 +507,19 @@ def test_rank_to_stdout(analyze_run, capsys):
     table = ScoreTable.from_csv(Path(scores).read_text())
     values = [table.value(song, "bass", "si_sdr") for song in payload["ranking"]]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("name", ["scores.csv", "scores.json"])
+def test_rank_skips_a_leading_byte_order_mark(analyze_run, tmp_path, capsys, name):
+    _, out_dir = analyze_run
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + (out_dir / name).read_bytes())
+    rankings = []
+    for scores in (out_dir / name, marked):
+        argv = ["rank", "--scores", str(scores), "--metric", "sdr", "--instrument", "bass"]
+        assert main(argv) == 0
+        rankings.append(json.loads(capsys.readouterr().out)["ranking"])
+    assert rankings[1] == rankings[0] and len(rankings[0]) == 3
 
 
 def test_select_top_half_takes_ranking_head(analyze_run, tmp_path, capsys):
@@ -983,9 +1010,9 @@ def test_env_variable_names_the_output_directory(tiny_dataset, tmp_path, monkeyp
 def test_env_variable_sets_the_worker_count(tiny_dataset, tmp_path, monkeypatch):
     seen = []
 
-    def serial(jobs, workers):
+    def serial(run, jobs, workers):
         seen.append(workers)
-        return [cli._song_job(job) for job in jobs]
+        return [run(job) for job in jobs]
 
     monkeypatch.setattr(cli, "_pool_results", serial)
     monkeypatch.setenv("SEPARABILITY_WORKERS", "3")

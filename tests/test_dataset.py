@@ -8,6 +8,7 @@ from separability import (
     AlignmentError,
     AudioClip,
     DatasetError,
+    DatasetManifest,
     InvalidInputError,
     MissingStemError,
     MultitrackSong,
@@ -260,6 +261,46 @@ class TestManifest:
         (tmp_path / "manifest.tsv").write_text("s1\ttrain\ns1\ttest\n")
         with pytest.raises(DatasetError, match="twice"):
             load_manifest(tmp_path / "manifest.tsv")
+
+    def test_unknown_split_is_named_at_its_line(self, tmp_path, rng):
+        manifest = self._dataset(tmp_path, rng)
+        manifest.write_text("s1\ttrian\ns2\ttrain\nghost\ttest\n")
+        message = f"{manifest}:1: song 's1': unknown split 'trian'"
+        with pytest.raises(DatasetError, match=f"^{message}"):
+            load_manifest(manifest)
+
+    def test_repeated_id_is_named_at_its_line_before_any_directory_is_listed(
+        self, tmp_path, rng, monkeypatch
+    ):
+        manifest = self._dataset(tmp_path, rng)
+        manifest.write_text("s1\ttrain\nghost\ttest\n\ns1\ttest\n")
+        listed = []
+        real_is_dir = Path.is_dir
+
+        def is_dir(self):
+            listed.append(self.name)
+            return real_is_dir(self)
+
+        monkeypatch.setattr(Path, "is_dir", is_dir)
+        with pytest.raises(DatasetError, match=f"^{manifest}:4: song 's1' listed twice"):
+            load_manifest(manifest)
+        assert listed == []
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((("s1", "trian"),), "unknown split 'trian'"),
+            ((("s1", "train"), ("s1", "test")), "song 's1' listed twice"),
+        ],
+    )
+    def test_manifest_built_directly_applies_the_entry_rules(self, entries, message):
+        with pytest.raises(DatasetError, match=message):
+            DatasetManifest(Path("."), entries, ("bass",))
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, rng):
+        manifest = self._dataset(tmp_path, rng)
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert load_manifest(manifest).entries == (("s1", "train"), ("s2", "train"))
 
     def test_missing_directory_rejected(self, tmp_path, rng):
         manifest = self._dataset(tmp_path, rng)
