@@ -60,6 +60,7 @@ from .scores import (
     document,
     envelope,
     format_score,
+    metadata_fault,
     metric_json,
     summary_to_csv,
     write_csv,
@@ -353,8 +354,6 @@ def cmd_analyze(args) -> int:
     normalize = bool(args.normalize)
 
     manifest = load_manifest(manifest_path, root=dataset)
-    # An output directory that cannot be made would lose every song's work.
-    out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [
         (manifest.song_dir(song_id), song_id, split) for song_id, split in sorted(manifest.entries)
     ]
@@ -363,7 +362,6 @@ def cmd_analyze(args) -> int:
     )
 
     metadata = {
-        "format_version": FORMAT_VERSION,
         "command": "analyze",
         "dataset": utf8_name(str(dataset)),
         "manifest": utf8_name(str(manifest_path)),
@@ -373,6 +371,11 @@ def cmd_analyze(args) -> int:
         "seed": str(seed),
         "generator": GENERATOR_ID,
     }
+    # A path holding a line break would split its '# key=value' line.
+    if fault := metadata_fault(metadata):
+        raise InvalidInputError(fault)
+    # An output directory that cannot be made would lose every song's work.
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     with _one_blas_thread():
         if workers <= 1:
@@ -441,16 +444,15 @@ def cmd_select(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    table_a = _load_table(Path(args.scores_a))
-    table_b = _load_table(Path(args.scores_b))
-    grid = correlate_tables(table_a, table_b)
-    out_dir = _out_dir(args)
     metadata = {
-        "format_version": FORMAT_VERSION,
         "command": "correlate",
         "scores_a": utf8_name(args.scores_a),
         "scores_b": utf8_name(args.scores_b),
     }
+    if fault := metadata_fault(metadata):
+        raise InvalidInputError(fault)
+    grid = correlate_tables(_load_table(Path(args.scores_a)), _load_table(Path(args.scores_b)))
+    out_dir = _out_dir(args)
     _write_text(out_dir / "correlations.csv", grid.to_csv(metadata))
     _write_text(out_dir / "correlations.json", grid.to_json(metadata))
     for line in grid.diagnostics:

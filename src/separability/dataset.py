@@ -118,11 +118,12 @@ def fs_name(text: str) -> str:
 def _stem_files(song_dir: Path) -> dict[str, Path]:
     """The song's stem WAVs by lower-cased UTF-8 name; ``mixture.wav`` is never a stem.
 
-    Two stems whose names differ only in case are an error: either one
-    could be the instrument.
+    The name and the ``.wav`` extension are matched without regard to
+    case.  Two stems whose names differ only in case are an error: either
+    one could be the instrument.
     """
     files: dict[str, Path] = {}
-    for path in sorted(song_dir.glob("*.wav")):
+    for path in sorted(song_dir.glob("*.[wW][aA][vV]")):
         try:
             key = utf8_name(path.stem).lower()
         except DatasetError as exc:

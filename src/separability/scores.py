@@ -1,29 +1,34 @@
 """Score tables, and the one output format every command writes.
 
 One row per (song_id, instrument).  Missing values are NaN in memory,
-empty cells in CSV, null in JSON; every other score is finite, and a
-table file holding an infinite one is rejected.  Serialized numbers are
-printed with six decimal places (round-half-even) so that repeated runs
-diff cleanly.
-Every CSV file starts with '# key=value' metadata lines carrying a format
-version and the resolved configuration of the run that produced it;
-every JSON file is indented by two spaces.  A table's JSON (``envelope``)
-opens with the format version and the configuration; a command's
-document (``document``: a ranking, a subset or a mute plan) opens with
-the format version and its kind and ends with the configuration.  The
-other modules hand their rows and bodies to ``write_csv``, ``envelope``
-and ``document``, and every JSON payload to ``write_json``; only a
-per-song log is laid out outside this module, by ``cli._song_log``
-alone, with ``FORMAT_VERSION`` first and the scores last.
-This module also owns the rule for what a song id or instrument label
-may hold (``cell_label_fault``).
+empty cells in CSV, null in JSON; every other score is finite.  Every
+row, added or read from a file, passes one gate (``ScoreTable._insert``)
+that refuses a non-number, an infinite score and a repeated key, so a
+table that holds a row can write it and read it back.  Serialized
+numbers are printed with six decimal places (round-half-even) so that
+repeated runs diff cleanly.
+Every CSV file starts with '# key=value' metadata lines, the format
+version first, then the resolved configuration of the run that produced
+it; every JSON file is indented by two spaces.  A table's JSON
+(``envelope``) opens with the format version and the configuration; a
+command's document (``document``: a ranking, a subset or a mute plan)
+opens with the format version and its kind and ends with the
+configuration.  The other modules hand their rows and bodies to
+``write_csv``, ``envelope`` and ``document``, and every JSON payload to
+``write_json``.  Three things are laid out outside this module: a
+per-song log, by ``cli._song_log`` (``FORMAT_VERSION`` first, the
+scores last); the ranking curve's header, by ``cli._curve_csv``; and
+the ``summary.json`` body, by ``cli.cmd_analyze``.
+This module also owns the rules for what a song id or instrument label
+may hold (``cell_label_fault``) and for a metadata value, which may not
+hold a line break (``metadata_fault``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
 from .metrics import METRICS, median_ignoring_missing
@@ -63,11 +68,10 @@ def metric_json(values: Mapping[str, float]) -> dict:
 def write_csv(metadata: Mapping[str, str], header: str, rows: Iterable[Sequence[str]]) -> str:
     """'# key=value' metadata lines, the header line, then one line per row.
 
-    ``format_version`` is added to the metadata when absent; a value it
-    already carries (a table read from a file) is kept.
+    ``format_version`` comes first: the metadata's own (a table read from
+    a file) or ``FORMAT_VERSION``.
     """
-    meta = dict(metadata)
-    meta.setdefault("format_version", FORMAT_VERSION)
+    meta = {"format_version": metadata.get("format_version", FORMAT_VERSION), **metadata}
     lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(header)
     lines.extend(",".join(cells) for cells in rows)
@@ -93,13 +97,26 @@ def document(kind: str, config: Mapping[str, str], /, **body) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind, **body, "config": dict(config)}
 
 
+def _line_break_fault(text: str, holder: str) -> str | None:
+    """Why ``text`` cannot go in ``holder`` (it holds a line break), or None."""
+    # str.splitlines drops every line break, so a text it changes holds one.
+    if "".join(text.splitlines()) != text:
+        return f"{text!r} contains a line break, which {holder} cannot hold"
+    return None
+
+
 def cell_label_fault(label: str) -> str | None:
     """Why ``label`` cannot be a CSV cell (it holds a comma or a line break), or None."""
     if "," in label:
         return f"{label!r} contains ',', which CSV cells cannot hold"
-    # str.splitlines drops every line break, so a label it changes holds one.
-    if "".join(label.splitlines()) != label:
-        return f"{label!r} contains a line break, which CSV cells cannot hold"
+    return _line_break_fault(label, "CSV cells")
+
+
+def metadata_fault(metadata: Mapping[str, str]) -> str | None:
+    """Why ``metadata`` cannot be '# key=value' lines (a value holds a line break), or None."""
+    for key, value in metadata.items():
+        if fault := _line_break_fault(value, "a metadata line"):
+            return f"{key}: {fault}"
     return None
 
 
@@ -107,7 +124,8 @@ class ScoreTable:
     """Ordered collection of per-(song, instrument) metric rows."""
 
     def __init__(self, metadata: Mapping[str, str] | None = None):
-        self._rows: dict[tuple[str, str], dict[str, float]] = {}
+        # Each row's scores in METRICS order.
+        self._rows: dict[tuple[str, str], tuple[float, ...]] = {}
         self.metadata: dict[str, str] = dict(metadata or {})
 
     def __len__(self) -> int:
@@ -117,21 +135,31 @@ class ScoreTable:
         for label in (song_id, instrument):
             if fault := cell_label_fault(label):
                 raise InvalidInputError(fault)
+        # A CSV row opens with its song id; the reader strips each line and
+        # skips one that opens with '#'.
+        if song_id[:1].isspace() or song_id.startswith("#"):
+            raise InvalidInputError(f"song id {song_id!r} opens with whitespace or '#'")
         unknown = set(values) - set(METRICS)
         if unknown:
             raise InvalidInputError(f"unknown metrics in row: {sorted(unknown)}")
-        self._insert(song_id, instrument, {m: float(values.get(m, math.nan)) for m in METRICS})
+        self._insert(song_id, instrument, [values.get(m, math.nan) for m in METRICS])
 
-    def _insert(self, song_id: str, instrument: str, row: dict[str, float]) -> None:
-        """Store a row already keyed by METRICS, refusing a second (song, instrument)."""
+    def _insert(self, song_id: str, instrument: str, values: Iterable) -> None:
+        """Store one row, ``values`` in METRICS order: the gate every row passes.
+
+        Each value must be a number, NaN for missing, never infinite; a
+        second row for the same (song, instrument) is refused.
+        """
         key = (song_id, instrument)
         if key in self._rows:
             raise InvalidInputError(f"duplicate row for song {song_id!r} instrument {instrument!r}")
+        try:
+            row = tuple(map(float, values))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(str(exc)) from None
+        if any(map(math.isinf, row)):
+            raise InvalidInputError("scores must be finite or missing")
         self._rows[key] = row
-
-    def rows(self) -> Iterator[tuple[str, str, dict[str, float]]]:
-        for (song_id, instrument), values in self._rows.items():
-            yield song_id, instrument, dict(values)
 
     def song_ids(self) -> tuple[str, ...]:
         seen = dict.fromkeys(song_id for song_id, _ in self._rows)
@@ -145,14 +173,15 @@ class ScoreTable:
         if metric not in METRICS:
             raise InvalidInputError(f"unknown metric {metric!r}")
         row = self._rows.get((song_id, instrument))
-        return math.nan if row is None else row[metric]
+        return math.nan if row is None else row[METRICS.index(metric)]
 
     def column(self, instrument: str, metric: str) -> dict[str, float]:
         """``{song_id: value}`` of one metric over one instrument's rows, in row order."""
         if metric not in METRICS:
             raise InvalidInputError(f"unknown metric {metric!r}")
+        column = METRICS.index(metric)
         return {
-            song_id: values[metric]
+            song_id: values[column]
             for (song_id, inst), values in self._rows.items()
             if inst == instrument
         }
@@ -160,7 +189,7 @@ class ScoreTable:
     # -- serialization -------------------------------------------------
 
     def to_csv(self) -> str:
-        rows = ([song, inst, *metric_cells(values)] for song, inst, values in self.rows())
+        rows = ([*key, *map(format_score, row)] for key, row in self._rows.items())
         return write_csv(self.metadata, CSV_HEADER, rows)
 
     @classmethod
@@ -189,33 +218,26 @@ class ScoreTable:
             if len(cells) != 2 + len(METRICS):
                 raise InvalidInputError(f"line {lineno}: expected {2 + len(METRICS)} cells")
             try:
-                values = {
-                    metric: float(cell) if cell else math.nan
-                    for metric, cell in zip(METRICS, cells[2:])
-                }
-            except ValueError as exc:
+                # Cells split on ',' from one stripped line that is no comment
+                # pass every label check of add_row; only the gate is left.
+                table._insert(cells[0], cells[1], [cell or math.nan for cell in cells[2:]])
+            except InvalidInputError as exc:
                 raise InvalidInputError(f"line {lineno}: {exc}") from None
-            if any(map(math.isinf, values.values())):
-                raise InvalidInputError(f"line {lineno}: scores must be finite or empty")
-            # Split on ',' and mapped onto METRICS: nothing add_row checks is left but the key.
-            table._insert(cells[0], cells[1], values)
         if not header_seen:
             raise InvalidInputError("no header line found")
         table.metadata = metadata
         return table
 
     def to_json(self) -> str:
-        rows = [
-            {"song_id": song_id, "instrument": instrument, **metric_json(values)}
-            for song_id, instrument, values in self.rows()
-        ]
+        fields = ("song_id", "instrument", *METRICS)
+        rows = [dict(zip(fields, (*key, *map(json_value, row)))) for key, row in self._rows.items()]
         return write_json(envelope(self.metadata, rows=rows))
 
     @classmethod
     def from_json(cls, text: str) -> "ScoreTable":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise InvalidInputError(f"not a JSON score table: {exc}") from None
         if not isinstance(payload, dict):
             kind = type(payload).__name__
@@ -230,15 +252,11 @@ class ScoreTable:
                 raise InvalidInputError(
                     f"row {index}: expected an object with song_id and instrument"
                 )
+            values = {m: math.nan if row.get(m) is None else row[m] for m in METRICS}
             try:
-                values = {
-                    m: math.nan if row.get(m) is None else float(row[m]) for m in METRICS
-                }
-            except (TypeError, ValueError) as exc:
+                table.add_row(str(row["song_id"]), str(row["instrument"]), values)
+            except InvalidInputError as exc:
                 raise InvalidInputError(f"row {index}: {exc}") from None
-            if any(map(math.isinf, values.values())):
-                raise InvalidInputError(f"row {index}: scores must be finite or null")
-            table.add_row(str(row["song_id"]), str(row["instrument"]), values)
         return table
 
 

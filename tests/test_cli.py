@@ -226,6 +226,36 @@ def test_an_output_path_that_cannot_be_a_directory_fails_before_any_song(
     assert loads == []
 
 
+@pytest.mark.parametrize("flag", ["--dataset", "--manifest"])
+def test_a_recorded_path_holding_a_line_break_fails_before_any_song(
+    tmp_path, monkeypatch, capsys, flag
+):
+    # The path is recorded as one '# key=value' line of every CSV output.
+    root = tmp_path / ("ds\nx" if flag == "--dataset" else "ds")
+    write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, n_channels=1)
+    path = root if flag == "--dataset" else (root / "manifest.tsv").rename(root / "m\u2028.tsv")
+    loads = []
+    monkeypatch.setattr(cli, "load_song", lambda *args: loads.append(args))
+    out = tmp_path / "out"
+    assert main(["analyze", flag, str(path), "--out", str(out), *FAST_FLAGS]) == 2
+    key = flag.removeprefix("--")
+    fault = f"{str(path)!r} contains a line break, which a metadata line cannot hold"
+    assert capsys.readouterr().err == f"error: {key}: {fault}\n"
+    assert loads == [] and not out.exists()
+
+
+def test_correlate_refuses_an_input_path_holding_a_line_break_before_reading(tmp_path, capsys):
+    good = tmp_path / "a.csv"
+    good.write_text(_handmade_table().to_csv())
+    broken = tmp_path / "b\rc.csv"  # never written: the path alone is refused
+    out = tmp_path / "out"
+    assert main(["correlate", str(good), str(broken), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scores_b: {str(broken)!r} contains a line break")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_analyze_normalize_changes_scores_and_is_recorded(tiny_dataset, tmp_path):
     plain, levelled = tmp_path / "plain", tmp_path / "levelled"
     base = ["analyze", "--dataset", str(tiny_dataset)] + FAST_FLAGS
@@ -661,8 +691,15 @@ INFINITE_JSON_ROW = '{"rows": [{"song_id": "a", "instrument": "bass", "sdr": Inf
         ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,1,-inf,1,1,1\n", "error: line 2: "),
         ("select", "scores.json", INFINITE_JSON_ROW, "error: row 0: "),
         ("correlate", "scores.csv", "bj\xf8rk", "error: {scores}: not UTF-8 text: "),
+        ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,1,,,,\nb,bass,,,,,\na,bass,2,,,,\n",
+         "error: line 4: duplicate row for song 'a' instrument 'bass'\n"),
+        ("select", "scores.json", INFINITE_JSON_ROW.replace("Infinity", "1" * 400),
+         "error: row 0: int too large to convert to float\n"),
+        ("correlate", "scores.json", INFINITE_JSON_ROW.replace("Infinity", "1" * 5000),
+         "error: not a JSON score table: Exceeds the limit "),
     ],
-    ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8"],
+    ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8",
+         "csv-duplicate", "json-overflow", "json-long-integer"],
 )
 def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
     scores = tmp_path / name

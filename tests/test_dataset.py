@@ -346,6 +346,22 @@ class TestManifest:
         with pytest.raises(DatasetError, match="differ only in case"):
             load_song(tmp_path / "s2", ["bass", "drums"])
 
+    def test_upper_case_extension_is_a_stem(self, tmp_path, rng, caplog):
+        manifest = self._dataset(tmp_path, rng, instruments=("bass", "drums", "vocals"))
+        (tmp_path / "s1" / "vocals.wav").rename(tmp_path / "s1" / "vocals.WAV")
+        with caplog.at_level("WARNING"):
+            m = load_manifest(manifest)
+            song = load_song(m.song_dir("s1"), m.instruments)
+        assert m.instruments == ("bass", "drums", "vocals")
+        assert song.instruments == ("bass", "drums", "vocals")
+        assert caplog.records == []
+
+    def test_extensions_differing_only_in_case_rejected(self, tmp_path, rng):
+        manifest = self._dataset(tmp_path, rng)
+        write_wav(tmp_path / "s2" / "bass.WAV", _clip(rng))
+        with pytest.raises(DatasetError, match="'bass.WAV' and 'bass.wav', whose names differ"):
+            load_manifest(manifest)
+
     def test_mixtures_differing_only_in_case_are_not_stems(self, tmp_path, rng):
         manifest = self._dataset(tmp_path, rng)
         write_wav(tmp_path / "s1" / "mixture.wav", _clip(rng))

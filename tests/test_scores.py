@@ -2,9 +2,18 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from separability import InvalidInputError, ScoreTable, aggregate_dataset
-from separability.scores import CSV_HEADER, format_score, json_value, summary_to_csv
+from separability.metrics import METRICS
+from separability.scores import (
+    CSV_HEADER,
+    cell_label_fault,
+    format_score,
+    json_value,
+    metadata_fault,
+    summary_to_csv,
+)
 
 
 def _table(rows, metadata=None):
@@ -72,6 +81,22 @@ class TestTable:
             table.add_row(song_id, instrument, {"sdr": 1.0})
         assert len(table) == 0
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, "abc"])
+    def test_value_that_is_not_a_finite_number_rejected(self, value):
+        table = ScoreTable()
+        with pytest.raises(InvalidInputError):
+            table.add_row("a", "bass", {"sdr": value})
+        assert len(table) == 0
+
+    # The reader strips each CSV line and skips one that opens with '#'.
+    @pytest.mark.parametrize("song_id", [" a", "\ta", "\xa0a", "#a"])
+    def test_song_id_that_would_open_its_row_badly_rejected(self, song_id):
+        table = ScoreTable()
+        with pytest.raises(InvalidInputError, match="opens with whitespace or '#'"):
+            table.add_row(song_id, "bass", {"sdr": 1.0})
+        table.add_row("a", f" {song_id}", {"sdr": 1.0})  # an instrument is mid-row
+        assert ScoreTable.from_csv(table.to_csv()).instruments() == (f" {song_id}",)
+
     def test_missing_row_reads_as_missing(self):
         table = _table([("a", "bass", 1.0)])
         assert math.isnan(table.value("zzz", "bass", "si_sdr"))
@@ -87,7 +112,7 @@ class TestCsv:
         table = _table([("a", "bass", 1.25)], {"alpha": "2.0"})
         table.add_row("b", "bass", {"si_sdr": math.nan, "sdr": 2.0})
         text = table.to_csv()
-        assert text.startswith("# alpha=2.0\n# format_version=1\n")
+        assert text.startswith("# format_version=1\n# alpha=2.0\n")
         assert CSV_HEADER in text
         back = ScoreTable.from_csv(text)
         assert back.metadata["alpha"] == "2.0"
@@ -113,13 +138,23 @@ class TestCsv:
 
     def test_duplicate_row_rejected(self):
         text = CSV_HEADER + "\na,bass,1.0,,,,\nb,bass,,,,,\na,bass,2.0,,,,\n"
-        with pytest.raises(InvalidInputError, match="duplicate row for song 'a' instrument 'bass'"):
+        with pytest.raises(
+            InvalidInputError, match="^line 4: duplicate row for song 'a' instrument 'bass'$"
+        ):
             ScoreTable.from_csv(text)
 
     def test_comma_in_label_is_a_bad_cell_count(self):
         text = CSV_HEADER + "\na,bass,di,1.0,,,,\n"
         with pytest.raises(InvalidInputError, match="line 2: expected 7 cells"):
             ScoreTable.from_csv(text)
+
+    # A value is written as one '# key=value' line, which any line break would split.
+    @pytest.mark.parametrize("brk", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_metadata_value_holding_a_line_break_is_a_fault(self, brk):
+        path = f"ds{brk}x"
+        fault = metadata_fault({"command": "analyze", "dataset": path})
+        assert fault == f"dataset: {path!r} contains a line break, which a metadata line cannot hold"
+        assert metadata_fault({"command": "analyze", "dataset": "ds x"}) is None
 
     def test_serialization_is_stable(self):
         table = _table([("a", "bass", 1.0), ("a", "drums", -2.5)], {"seed": "0"})
@@ -153,6 +188,39 @@ class TestJson:
         assert payload["rows"][0]["si_sdr"] == 1.234568
 
 
+# Labels a table can hold: no comma, no line break, and a song id that does
+# not open its CSV row with whitespace or '#'.
+_labels = st.text(max_size=6).filter(lambda label: cell_label_fault(label) is None)
+_song_ids = _labels.filter(lambda song_id: not song_id[:1].isspace() and song_id[:1] != "#")
+_scores = st.one_of(st.floats(allow_infinity=False), st.just(math.nan))
+
+
+def _six_decimal_rows(table: ScoreTable) -> dict:
+    """Every row of ``table``, ``{(song_id, instrument): six-decimal cells}``."""
+    return {
+        (song_id, instrument): [format_score(table.column(instrument, m)[song_id]) for m in METRICS]
+        for instrument in table.instruments()
+        for song_id in table.column(instrument, METRICS[0])
+    }
+
+
+@given(
+    rows=st.dictionaries(
+        st.tuples(_song_ids, _labels), st.lists(_scores, min_size=5, max_size=5), max_size=6
+    )
+)
+def test_tables_read_back_the_rows_they_wrote(rows):
+    table = ScoreTable({"command": "test"})
+    for (song_id, instrument), values in rows.items():
+        table.add_row(song_id, instrument, dict(zip(METRICS, values)))
+    written = {key: [format_score(v) for v in values] for key, values in rows.items()}
+    for back in (ScoreTable.from_csv(table.to_csv()), ScoreTable.from_json(table.to_json())):
+        assert len(back) == len(rows)
+        assert back.song_ids() == table.song_ids()
+        assert back.instruments() == table.instruments()
+        assert _six_decimal_rows(back) == written
+
+
 class TestAggregateDataset:
     def test_median_per_instrument(self):
         table = _table(
@@ -178,6 +246,6 @@ class TestAggregateDataset:
         table = _table([("a", "bass", 1.0)])
         text = summary_to_csv(aggregate_dataset(table), {"command": "analyze"})
         lines = text.splitlines()
-        assert lines[0] == "# command=analyze"
+        assert lines[:2] == ["# format_version=1", "# command=analyze"]
         assert lines[-2] == "instrument,si_sdr,sdr,sir,isr,sar"
         assert lines[-1].startswith("bass,1.000000,2.000000")
