@@ -300,12 +300,11 @@ def _song_job(instruments, stft_config, oracle_config, metric_config, normalize,
 def _pool_results(run, jobs: list, workers: int) -> list[dict]:
     """The logs ``run`` gives ``jobs``, in a pool of ``workers`` processes, in job order.
 
-    A worker that dies (killed by the OOM killer, a crash in native
-    code) breaks the pool and loses the result of every song still
-    pending.  Each of those songs is then scored again alone, in a fresh
-    one-worker pool, so a song that kills its worker even alone becomes
-    an error row, and which songs happened to be in flight does not
-    change any output.
+    A worker that dies (OOM kill, native crash) breaks the pool.  Songs
+    start in job order and results sent before the break are read, so a
+    song then running is among the first ``workers`` lost: each reruns
+    alone (an error row if its worker dies again), the rest together at
+    full width, where a culprit would be isolated, so no output relies on it.
     """
     results: list[dict | None] = [None] * len(jobs)
     # Under fork the pool starts all max_workers processes at the first
@@ -321,13 +320,14 @@ def _pool_results(run, jobs: list, workers: int) -> list[dict]:
         for i, future in enumerate(futures):
             with suppress(BrokenProcessPool):
                 results[i] = future.result()
-    for i, job in enumerate(jobs):
-        if results[i] is None:
-            try:
-                with ProcessPoolExecutor(max_workers=1, initializer=_pin_blas_threads) as pool:
-                    results[i] = pool.submit(run, job).result()
-            except BrokenProcessPool as exc:
-                results[i] = _song_log(job, error=exc)
+    lost = [i for i, log in enumerate(results) if log is None]
+    if lost and len(jobs) == 1:  # the song broke a pool of its own
+        return [_song_log(jobs[0], error=futures[0].exception())]
+    for i in lost[:workers]:
+        results[i] = _pool_results(run, [jobs[i]], 1)[0]
+    if rest := lost[workers:]:
+        for i, log in zip(rest, _pool_results(run, [jobs[i] for i in rest], workers)):
+            results[i] = log
     return results
 
 

@@ -202,10 +202,10 @@ class ScoreTable:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
+                # The value is kept verbatim: whatever follows the first '='.
+                key, eq, value = raw.partition("=")
+                if eq:
+                    metadata[key.strip().lstrip("#").strip()] = value
                 continue
             if not header_seen:
                 if line != CSV_HEADER:
@@ -237,7 +237,7 @@ class ScoreTable:
     def from_json(cls, text: str) -> "ScoreTable":
         try:
             payload = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
             raise InvalidInputError(f"not a JSON score table: {exc}") from None
         if not isinstance(payload, dict):
             kind = type(payload).__name__
@@ -252,7 +252,11 @@ class ScoreTable:
                 raise InvalidInputError(
                     f"row {index}: expected an object with song_id and instrument"
                 )
-            values = {m: math.nan if row.get(m) is None else row[m] for m in METRICS}
+            values = {
+                k: math.nan if v is None else v
+                for k, v in row.items()
+                if k not in ("song_id", "instrument")
+            }
             try:
                 table.add_row(str(row["song_id"]), str(row["instrument"]), values)
             except InvalidInputError as exc:

@@ -499,6 +499,58 @@ def test_a_killed_worker_costs_one_song(tmp_path, monkeypatch, capsys):
     assert (killed / "scores.csv").read_text() == expected
 
 
+@pytest.mark.parametrize(
+    "killers",
+    [("song00",), ("song02",), ("song05",), ("song00", "song04")],
+    ids=["kill-first-running", "kill-last-running", "kill-never-started", "kill-two"],
+)
+def test_killed_workers_rerun_alone_only_the_songs_that_can_have_started(
+    tmp_path, monkeypatch, capsys, killers
+):
+    root = tmp_path / "ds"
+    write_fixture_dataset(root, n_songs=6, seed=5, duration=0.3, n_channels=1)
+    clean, killed = tmp_path / "clean", tmp_path / "killed"
+    base = ["analyze", "--dataset", str(root)] + FAST_FLAGS
+    assert main(base + ["--out", str(clean)]) == 0
+    real_load_song = cli.load_song
+    sizes = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, initializer=initializer)
+
+    def load_song(song_dir, instruments):
+        if Path(song_dir).name in killers:
+            os._exit(1)  # dies like an OOM-killed worker: no exception, no result
+        return real_load_song(song_dir, instruments)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli, "load_song", load_song)
+    capsys.readouterr()
+    assert main(base + ["--out", str(killed), "--workers", "3"]) == 1
+    err = capsys.readouterr().err
+    failed = [line for line in err.splitlines() if line.startswith("failed:")]
+    assert failed == [f"failed: {song}" for song in killers]
+
+    # Of the songs a broken pool lost, only the three that can have been
+    # running rerun alone; one pool per song would be six.
+    assert sizes[0] == 3 and max(sizes) == 3
+    if len(killers) == 1:
+        assert sizes.count(1) <= 3
+    for song in killers:
+        log = json.loads((killed / "logs" / f"{song}.json").read_text())
+        assert log["status"] == "error"
+        assert log["error"].startswith("BrokenProcessPool: ")
+    for song in (f"song{i:02d}" for i in range(6)):
+        if song not in killers:
+            name = f"logs/{song}.json"
+            assert (killed / name).read_bytes() == (clean / name).read_bytes()
+    clean_lines = (clean / "scores.csv").read_text().splitlines(keepends=True)
+    expected = "".join(line for line in clean_lines if line.split(",")[0] not in killers)
+    assert (killed / "scores.csv").read_text() == expected
+
+
 def test_curve_writes_unsigned_zero_like_scores_csv():
     table = ScoreTable({"command": "test"})
     table.add_row("a", "bass", {"si_sdr": -1e-9})
@@ -697,9 +749,12 @@ INFINITE_JSON_ROW = '{"rows": [{"song_id": "a", "instrument": "bass", "sdr": Inf
          "error: row 0: int too large to convert to float\n"),
         ("correlate", "scores.json", INFINITE_JSON_ROW.replace("Infinity", "1" * 5000),
          "error: not a JSON score table: Exceeds the limit "),
+        ("rank", "scores.json", "[" * 100000, "error: not a JSON score table: "),
+        ("correlate", "scores.json", INFINITE_JSON_ROW.replace('"sdr": Infinity', '"SDR": 3.0'),
+         "error: row 0: unknown metrics in row: ['SDR']\n"),
     ],
     ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8",
-         "csv-duplicate", "json-overflow", "json-long-integer"],
+         "csv-duplicate", "json-overflow", "json-long-integer", "json-deep", "json-unknown-key"],
 )
 def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
     scores = tmp_path / name

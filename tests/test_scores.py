@@ -193,6 +193,15 @@ class TestJson:
 _labels = st.text(max_size=6).filter(lambda label: cell_label_fault(label) is None)
 _song_ids = _labels.filter(lambda song_id: not song_id[:1].isspace() and song_id[:1] != "#")
 _scores = st.one_of(st.floats(allow_infinity=False), st.just(math.nan))
+# Metadata a table can hold: any value without a line break, often one
+# that opens or ends with whitespace.
+_padding = st.sampled_from(["", " ", "\t", "  "])
+_metadata = st.dictionaries(
+    st.sampled_from(["command", "dataset", "manifest"]),
+    st.tuples(_padding, st.text(max_size=6), _padding)
+    .map("".join)
+    .filter(lambda value: metadata_fault({"value": value}) is None),
+)
 
 
 def _six_decimal_rows(table: ScoreTable) -> dict:
@@ -207,10 +216,11 @@ def _six_decimal_rows(table: ScoreTable) -> dict:
 @given(
     rows=st.dictionaries(
         st.tuples(_song_ids, _labels), st.lists(_scores, min_size=5, max_size=5), max_size=6
-    )
+    ),
+    metadata=_metadata,
 )
-def test_tables_read_back_the_rows_they_wrote(rows):
-    table = ScoreTable({"command": "test"})
+def test_tables_read_back_the_rows_they_wrote(rows, metadata):
+    table = ScoreTable(metadata)
     for (song_id, instrument), values in rows.items():
         table.add_row(song_id, instrument, dict(zip(METRICS, values)))
     written = {key: [format_score(v) for v in values] for key, values in rows.items()}
@@ -219,6 +229,7 @@ def test_tables_read_back_the_rows_they_wrote(rows):
         assert back.song_ids() == table.song_ids()
         assert back.instruments() == table.instruments()
         assert _six_decimal_rows(back) == written
+        assert list(back.metadata.items()) == [("format_version", "1"), *metadata.items()]
 
 
 class TestAggregateDataset:
