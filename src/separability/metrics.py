@@ -60,17 +60,11 @@ class ErrorComponents:
     reference + e_spat + e_interf + e_artif reproduces the zero-padded
     estimate exactly, and e_artif is orthogonal to every delayed copy of
     every reference channel.
-
-    used_ridge records whether a last resort (ridge or lstsq) solved the
-    all-reference or the target-only normal equations, which happens when
-    near-silent or dependent regressors make a Gram matrix numerically
-    singular.
     """
 
     e_spat: np.ndarray
     e_interf: np.ndarray
     e_artif: np.ndarray
-    used_ridge: bool = False
 
     def __post_init__(self):
         shapes = {self.e_spat.shape, self.e_interf.shape, self.e_artif.shape}
@@ -357,29 +351,25 @@ def _gram(lags: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _dense_solve(
-    gram: np.ndarray, rhs: np.ndarray, report: ScoringReport
-) -> tuple[np.ndarray, bool]:
+def _dense_solve(gram: np.ndarray, rhs: np.ndarray, report: ScoringReport) -> np.ndarray:
     """Cholesky solve of the normal equations, then ridge, then lstsq.
 
-    Returns the solution and whether a last resort (ridge or lstsq) ran;
-    each one that runs is counted in ``report``.
+    Each last resort (ridge or lstsq) that runs is counted in ``report``.
     """
     try:
         factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), False
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     except scipy.linalg.LinAlgError:
         pass
     ridge = 1e-10 * np.trace(gram) / gram.shape[0]
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:
         factor = scipy.linalg.cho_factor(regularized, lower=True, check_finite=False)
-        solution = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        report.ridge += 1
     except scipy.linalg.LinAlgError:
-        solution = np.linalg.lstsq(regularized, rhs, rcond=None)[0]
         report.lstsq += 1
-    return solution, True
+        return np.linalg.lstsq(regularized, rhs, rcond=None)[0]
+    report.ridge += 1
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def _window_splits(
@@ -414,20 +404,18 @@ def _window_splits(
     cross = corr[:, m:].transpose(0, 2, 1)  # cross[k, i, c] = sum_t e_c[t + k] r_i[t]
 
     coef = _block_toeplitz_solve(auto, cross)
-    all_ridge = False
     if coef is None:
         report.dense_fallback += 1
         gram = _gram(_full_length_lags(regs, flen))
         rhs = cross.transpose(1, 0, 2).reshape(m * flen, n_out)
-        coef, all_ridge = _dense_solve(gram, rhs, report)
-        coef = coef.reshape(m, flen, n_out).transpose(1, 0, 2)
+        coef = _dense_solve(gram, rhs, report).reshape(m, flen, n_out).transpose(1, 0, 2)
     p_all = _synthesize(coef, regs).reshape(len(targets), n_ch, -1)
 
     for t, j in enumerate(targets):
         own = np.flatnonzero(keep // n_ch == j)
         channels = slice(t * n_ch, (t + 1) * n_ch)
         rhs = cross[:, own, channels].transpose(1, 0, 2).reshape(own.size * flen, n_ch)
-        filt, target_ridge = _dense_solve(_gram(auto[:, own][:, :, own]), rhs, report)
+        filt = _dense_solve(_gram(auto[:, own][:, :, own]), rhs, report)
         filters = filt.reshape(own.size, flen, n_ch).transpose(2, 0, 1)
         p_target = fftconvolve(filters, regs[own][np.newaxis]).sum(axis=1)
         s = _zero_padded(refs[j], p_all.shape[-1])
@@ -435,7 +423,6 @@ def _window_splits(
             e_spat=p_target - s,
             e_interf=p_all[t] - p_target,
             e_artif=_zero_padded(ests[t], p_all.shape[-1]) - p_all[t],
-            used_ridge=all_ridge or target_ridge,
         )
 
 
@@ -462,11 +449,13 @@ def decompose(
     estimate: AudioClip,
     target_index: int,
     config: MetricConfig = MetricConfig(),
+    report: ScoringReport | None = None,
 ) -> ErrorComponents:
     """Split ``estimate`` into spatial, interference and artifact errors.
 
     ``references`` holds every true stem; ``target_index`` names the one
-    the estimate is supposed to reconstruct.
+    the estimate is supposed to reconstruct.  A ``report``, when given,
+    counts the solver fallbacks of this split, as framewise_scores does.
 
     Raises
     ------
@@ -479,10 +468,10 @@ def decompose(
         raise InvalidInputError(f"target_index {target_index} out of range")
     if _mean_square(refs[target_index]) < config.silence_threshold:
         raise SilentReferenceError(f"reference {target_index} is silent in this window")
-    # One target, so the kernel yields one split; its counts go unread.
+    # One target, so the kernel yields one split.
     ests = estimate.samples[np.newaxis]
-    splits = _window_splits(refs, ests, [target_index], config.filter_length, ScoringReport())
-    return next(splits)[1]
+    report = ScoringReport() if report is None else report
+    return next(_window_splits(refs, ests, [target_index], config.filter_length, report))[1]
 
 
 def _db_ratio(num: float, den: float) -> float:
@@ -597,7 +586,7 @@ def _window_bounds(n_samples: int, sample_rate: int) -> list[tuple[int, int]]:
 
 @dataclass
 class ScoringReport:
-    """Deterministic accounting of one framewise_scores call.
+    """Deterministic accounting, added to by every scoring call it is passed to.
 
     silent_windows[j] counts the windows where stem j fell below the
     silence threshold (its missing scores).  The window kernel counts
@@ -625,8 +614,9 @@ def framewise_scores(
 
     Windows where a stem's reference is silent are missing (NaN) for that
     stem.  references[j] and estimates[j] describe the same instrument.
-    A ``report``, when given, is filled with the window and solver
-    accounting of this call.
+    A ``report``, when given, adds this call's window and solver counts
+    to its own (silent_windows sized to the stem count on first use), so
+    one report can span several calls on the same stems.
     """
     if len(references) != len(estimates):
         raise InvalidInputError(
@@ -646,8 +636,10 @@ def framewise_scores(
     }
     if report is None:
         report = ScoringReport()
-    report.silent_windows = [0] * n_sources
-    report.tail_samples_unscored = first.n_samples - bounds[-1][1]
+    report.silent_windows = report.silent_windows or [0] * n_sources
+    if len(report.silent_windows) != n_sources:
+        raise InvalidInputError(f"report has {len(report.silent_windows)} stems, not {n_sources}")
+    report.tail_samples_unscored += first.n_samples - bounds[-1][1]
 
     rate = first.sample_rate
     for w, (start, stop) in enumerate(bounds):

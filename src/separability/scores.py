@@ -106,7 +106,9 @@ def _line_break_fault(text: str, holder: str) -> str | None:
 
 
 def cell_label_fault(label: str) -> str | None:
-    """Why ``label`` cannot be a CSV cell (it holds a comma or a line break), or None."""
+    """Why ``label`` cannot be a CSV cell (no string, a comma or a line break), or None."""
+    if not isinstance(label, str):
+        return f"label {label!r} is not a string"
     if "," in label:
         return f"{label!r} contains ',', which CSV cells cannot hold"
     return _line_break_fault(label, "CSV cells")
@@ -258,7 +260,7 @@ class ScoreTable:
                 if k not in ("song_id", "instrument")
             }
             try:
-                table.add_row(str(row["song_id"]), str(row["instrument"]), values)
+                table.add_row(row["song_id"], row["instrument"], values)
             except InvalidInputError as exc:
                 raise InvalidInputError(f"row {index}: {exc}") from None
         return table

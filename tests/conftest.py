@@ -7,6 +7,9 @@ settings.register_profile(
     deadline=None,
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
+    # A falsifying example found on CI prints its @reproduce_failure blob,
+    # since the runner's example database does not outlive the job.
+    print_blob=True,
 )
 settings.load_profile("default")
 

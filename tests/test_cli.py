@@ -732,6 +732,10 @@ def test_table_with_comma_in_a_label_is_rejected(tmp_path, capsys, command):
 
 
 INFINITE_JSON_ROW = '{"rows": [{"song_id": "a", "instrument": "bass", "sdr": Infinity}]}'
+NON_STRING_LABEL_ROWS = json.dumps({"rows": [
+    {"song_id": None, "instrument": 7, "sdr": 1.0},
+    {"song_id": "None", "instrument": "7", "sdr": 2.0},
+]})
 
 
 @pytest.mark.parametrize(
@@ -752,9 +756,15 @@ INFINITE_JSON_ROW = '{"rows": [{"song_id": "a", "instrument": "bass", "sdr": Inf
         ("rank", "scores.json", "[" * 100000, "error: not a JSON score table: "),
         ("correlate", "scores.json", INFINITE_JSON_ROW.replace('"sdr": Infinity', '"SDR": 3.0'),
          "error: row 0: unknown metrics in row: ['SDR']\n"),
+        # Not read as the song "None" and instrument "7", which row 1 really is.
+        ("rank", "scores.json", NON_STRING_LABEL_ROWS,
+         "error: row 0: label None is not a string\n"),
+        ("select", "scores.json", NON_STRING_LABEL_ROWS.replace("null", '"a"'),
+         "error: row 0: label 7 is not a string\n"),
     ],
     ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8",
-         "csv-duplicate", "json-overflow", "json-long-integer", "json-deep", "json-unknown-key"],
+         "csv-duplicate", "json-overflow", "json-long-integer", "json-deep", "json-unknown-key",
+         "json-null-song", "json-integer-instrument"],
 )
 def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
     scores = tmp_path / name

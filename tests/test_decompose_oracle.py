@@ -9,7 +9,7 @@ and on all four derived metrics for a bank of frozen random fixtures.
 import numpy as np
 import pytest
 
-from separability import AudioClip, MetricConfig, decompose, isr, sar, sdr, sir
+from separability import AudioClip, MetricConfig, ScoringReport, decompose, isr, sar, sdr, sir
 
 from oracles import delayed_matrix, dense_decompose, dense_metrics
 
@@ -104,8 +104,9 @@ def test_ridge_path_on_duplicated_regressors():
     base = gen.normal(0.0, 1.0, (1, N))
     refs = [AudioClip(base, 44100), AudioClip(base.copy(), 44100)]
     est = AudioClip(base + gen.normal(0.0, 0.1, (1, N)), 44100)
-    comp = decompose(refs, est, 0, MetricConfig(filter_length=4))
-    assert comp.used_ridge
+    report = ScoringReport()
+    comp = decompose(refs, est, 0, MetricConfig(filter_length=4), report)
+    assert report.ridge + report.lstsq > 0
     # Even on the regularized path the partition identity must survive.
     s_pad = np.zeros_like(comp.e_spat)
     s_pad[:, :N] = base
@@ -119,13 +120,15 @@ def test_silent_reference_excluded_from_regressors():
     live = gen.normal(0.0, 1.0, (1, N))
     silent = np.zeros((1, N))
     est = AudioClip(live + gen.normal(0.0, 0.1, (1, N)), 44100)
+    report = ScoringReport()
     comp = decompose(
         [AudioClip(live, 44100), AudioClip(silent, 44100)],
         est,
         0,
         MetricConfig(filter_length=4),
+        report,
     )
-    assert not comp.used_ridge
+    assert report.ridge == report.lstsq == 0
     # A silent co-reference spans nothing: its interference share is zero.
     d_spat, d_interf, d_artif = dense_decompose(
         np.stack([live, silent]), est.samples, 0, 4
