@@ -50,7 +50,7 @@ from .analysis import (
     select_subset,
 )
 from .dataset import fs_name, load_manifest, load_song, make_mixture, normalize_loudness, utf8_name
-from .errors import InvalidInputError, SeparabilityError
+from .errors import DatasetError, InvalidInputError, SeparabilityError
 from .irm import OracleConfig, oracle_separate
 from .metrics import METRICS, MetricConfig, ScoringReport, aggregate_song, framewise_scores
 from .scores import (
@@ -354,6 +354,12 @@ def cmd_analyze(args) -> int:
     normalize = bool(args.normalize)
 
     manifest = load_manifest(manifest_path, root=dataset)
+    # A song loads only the shared stems (load_manifest refuses none): one is no mixture.
+    if len(manifest.instruments) == 1:
+        raise DatasetError(
+            f"the listed songs share one instrument, {manifest.instruments[0]!r}; "
+            "analyze needs at least 2"
+        )
     jobs = [
         (manifest.song_dir(song_id), song_id, split) for song_id, split in sorted(manifest.entries)
     ]

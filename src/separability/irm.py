@@ -70,6 +70,7 @@ def compute_irm(
     """Ratio masks from the stem spectrograms, in stem order.
 
     All spectrograms must share one shape and framing configuration.
+    Raises :class:`InvalidInputError`, naming alpha, if |X|^alpha overflows.
     """
     if len(source_specs) == 0:
         raise InvalidInputError("need at least one source spectrogram")
@@ -81,10 +82,14 @@ def compute_irm(
     # |X_j|^alpha goes straight into its slot and becomes the mask in place.
     n = len(source_specs)
     masks = np.empty((n, *first.bins.shape))
-    for mask, spec in zip(masks, source_specs):
-        np.abs(spec.bins, out=mask)
-        mask **= config.alpha
-    denom = masks.sum(axis=0)
+    try:
+        with np.errstate(over="raise"):
+            for mask, spec in zip(masks, source_specs):
+                np.abs(spec.bins, out=mask)
+                mask **= config.alpha
+            denom = masks.sum(axis=0)
+    except FloatingPointError:
+        raise InvalidInputError(f"|X|^alpha overflows float64 at alpha={config.alpha}") from None
     silent = denom == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         masks /= denom

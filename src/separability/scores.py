@@ -247,18 +247,24 @@ class ScoreTable:
         config, rows = payload.get("config", {}), payload.get("rows", [])
         if not isinstance(config, dict) or not isinstance(rows, list):
             raise InvalidInputError("'config' must be an object and 'rows' a list")
-        table = cls({"format_version": str(payload.get("format_version", FORMAT_VERSION))})
-        table.metadata.update({str(k): str(v) for k, v in config.items()})
+        metadata = {"format_version": payload.get("format_version", FORMAT_VERSION), **config}
+        for key, value in metadata.items():
+            if not isinstance(value, str):
+                raise InvalidInputError(f"{key}: {value!r} is not a string")
+        table = cls(metadata)
         for index, row in enumerate(rows):
             if not isinstance(row, dict) or not {"song_id", "instrument"} <= row.keys():
                 raise InvalidInputError(
                     f"row {index}: expected an object with song_id and instrument"
                 )
-            values = {
-                k: math.nan if v is None else v
-                for k, v in row.items()
-                if k not in ("song_id", "instrument")
-            }
+            values = {}
+            for key, value in row.items():
+                if key in ("song_id", "instrument"):
+                    continue
+                # bool is an int subclass, but true is no score.
+                if value is not None and type(value) not in (int, float):
+                    raise InvalidInputError(f"row {index}: {key} {value!r} is not a number or null")
+                values[key] = math.nan if value is None else value
             try:
                 table.add_row(row["song_id"], row["instrument"], values)
             except InvalidInputError as exc:

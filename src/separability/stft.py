@@ -107,39 +107,31 @@ class ColaReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _window_values(kind: str, size: int) -> np.ndarray:
-    if kind == "hann":
+def window_values(config: StftConfig) -> np.ndarray:
+    """Window taper for the given configuration (read-only array)."""
+    if config.window_kind == "hann":
         # Periodic form: tiles exactly at hop = size/m for integer m >= 3.
-        n = np.arange(size)
-        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / size)
-    elif kind == "rect":
-        win = np.ones(size)
-    else:  # pragma: no cover - rejected by StftConfig
-        raise ConfigurationError(f"unknown window kind {kind!r}")
+        n = np.arange(config.window_size)
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / config.window_size)
+    else:
+        win = np.ones(config.window_size)
     win.setflags(write=False)
     return win
 
 
-def window_values(config: StftConfig) -> np.ndarray:
-    """Window taper for the given configuration (read-only array)."""
-    return _window_values(config.window_kind, config.window_size)
-
-
 @functools.lru_cache(maxsize=64)
-def _cola_report(kind: str, size: int, hop: int) -> ColaReport:
+def check_cola(config: StftConfig) -> ColaReport:
+    """Check that the squared window sums to a constant at the config's hop."""
+    size, hop = config.window_size, config.hop_size
     # Lay enough frames that positions [size, size + hop) see every frame
     # that can touch them; those positions are representative of the
-    # infinite interior.
-    cover = _synthesis_weight(kind, size, hop, size // hop + 3)[0]
+    # infinite interior.  This function is cached itself, so the sum skips
+    # _synthesis_weight's cache, which keeps only the inverse's frame layouts.
+    cover = _synthesis_weight.__wrapped__(config, size // hop + 3)[0]
     interior = cover[size : size + hop]
     mean = float(interior.mean())
     deviation = float(interior.max() - interior.min()) / mean if mean > 0 else math.inf
     return ColaReport(passed=deviation <= COLA_TOLERANCE, max_deviation=deviation, overlap_gain=mean)
-
-
-def check_cola(config: StftConfig) -> ColaReport:
-    """Check that the squared window sums to a constant at the config's hop."""
-    return _cola_report(config.window_kind, config.window_size, config.hop_size)
 
 
 def require_cola(config: StftConfig) -> None:
@@ -191,7 +183,7 @@ def _frame_count(n_samples: int, config: StftConfig) -> int:
 # about nine bytes per synthesized sample.
 @functools.lru_cache(maxsize=4)
 def _synthesis_weight(
-    kind: str, size: int, hop: int, n_frames: int
+    config: StftConfig, n_frames: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared-window sum over ``n_frames`` overlap-added frames (read-only).
 
@@ -200,7 +192,8 @@ def _synthesis_weight(
     samples with no effective window coverage are zeroed rather than
     amplified.
     """
-    wsq_frame = _window_values(kind, size) ** 2
+    size, hop = config.window_size, config.hop_size
+    wsq_frame = window_values(config) ** 2
     wsq = np.zeros((n_frames - 1) * hop + size)
     for t in range(n_frames):
         wsq[t * hop : t * hop + size] += wsq_frame
@@ -259,7 +252,7 @@ def istft(spec: Spectrogram) -> AudioClip:
     out = np.zeros((n_channels, total))
     for t in range(n_frames):
         out[:, t * hop : t * hop + ws] += frames[:, t, :]
-    wsq, covered, uncovered = _synthesis_weight(config.window_kind, ws, hop, n_frames)
+    wsq, covered, uncovered = _synthesis_weight(config, n_frames)
     np.divide(out, wsq, out=out, where=covered)
     out[:, uncovered] = 0.0
     start = config.pad

@@ -1,7 +1,10 @@
-"""Synthetic audio builders for tests, benchmarks, and demo datasets.
+"""Synthetic audio builders for tests, scripts and demo datasets.
 
 Everything here is deterministic given its arguments (seeded where
 random), so fixtures written by one run are byte-identical on the next.
+Every clip is at ``SAMPLE_RATE``, the one rate ``read_wav`` accepts,
+except from ``sine_clip`` and ``fixture_stem``, which take a rate so
+that tests can build short stems at a lower one.
 """
 
 from __future__ import annotations
@@ -55,44 +58,27 @@ def sine_clip(
     return AudioClip(out, sample_rate)
 
 
-def periodic_tone(
-    cycles: int,
-    n_samples: int,
-    amplitude: float = 1.0,
-    phase: float = 0.0,
-    n_channels: int = 1,
-    sample_rate: int = SAMPLE_RATE,
-) -> AudioClip:
-    """A sine completing exactly ``cycles`` periods over the clip.
+def periodic_tone(cycles: int, n_samples: int, amplitude: float = 1.0) -> AudioClip:
+    """A mono sine completing exactly ``cycles`` periods over the clip.
 
     Tones with distinct cycle counts are orthogonal over the clip, which
     makes them convenient building blocks for analytic metric cases.
     """
     n = np.arange(n_samples)
-    wave = amplitude * np.sin(2.0 * np.pi * cycles * n / n_samples + phase)
-    return AudioClip(np.tile(wave, (n_channels, 1)), sample_rate)
+    wave = amplitude * np.sin(2.0 * np.pi * cycles * n / n_samples)
+    return AudioClip(wave[np.newaxis, :], SAMPLE_RATE)
 
 
 def noise_clip(
-    gen: np.random.Generator,
-    n_samples: int,
-    sample_rate: int = SAMPLE_RATE,
-    n_channels: int = 1,
-    scale: float = 0.1,
+    gen: np.random.Generator, n_samples: int, n_channels: int = 1, scale: float = 0.1
 ) -> AudioClip:
-    return AudioClip(gen.normal(0.0, scale, (n_channels, n_samples)), sample_rate)
+    return AudioClip(gen.normal(0.0, scale, (n_channels, n_samples)), SAMPLE_RATE)
 
 
 def overlapping_sine_sources(
-    overlap: float,
-    n_components: int = 8,
-    n_samples: int = SAMPLE_RATE,
-    sample_rate: int = SAMPLE_RATE,
-    base_slot: int = 30,
-    spacing: int = 6,
-    n_channels: int = 1,
+    overlap: float, n_components: int = 8, n_samples: int = SAMPLE_RATE
 ) -> tuple[AudioClip, AudioClip]:
-    """Two sine banks sharing a controllable fraction of their frequencies.
+    """Two mono sine banks sharing a controllable fraction of their frequencies.
 
     overlap = 0 gives spectrally disjoint banks; overlap = 1 makes the
     second bank reuse every frequency of the first.  Shared components
@@ -102,6 +88,7 @@ def overlapping_sine_sources(
     if not 0.0 <= overlap <= 1.0:
         raise InvalidInputError(f"overlap must be in [0, 1], got {overlap}")
     k = n_components
+    base_slot, spacing = 30, 6
     shared = int(round(overlap * k))
     amp = 0.5 / np.sqrt(k)
 
@@ -111,12 +98,12 @@ def overlapping_sine_sources(
     private = [base_slot + spacing * (k + 1) + spacing * i for i in range(k - shared)]
     slots_b = slots_a[:shared] + private
 
-    freqs_a = [slot_hz(s, sample_rate) for s in slots_a]
-    freqs_b = [slot_hz(s, sample_rate) for s in slots_b]
+    freqs_a = [slot_hz(s) for s in slots_a]
+    freqs_b = [slot_hz(s) for s in slots_b]
     phases_b = np.array([np.pi / 2.0] * shared + [0.0] * (k - shared))
 
-    a = sine_clip(freqs_a, n_samples, sample_rate, [amp] * k, None, n_channels)
-    b = sine_clip(freqs_b, n_samples, sample_rate, [amp] * k, phases_b, n_channels)
+    a = sine_clip(freqs_a, n_samples, amplitudes=[amp] * k)
+    b = sine_clip(freqs_b, n_samples, amplitudes=[amp] * k, phases=phases_b)
     return a, b
 
 
@@ -152,7 +139,6 @@ def write_fixture_dataset(
     duration: float = 2.5,
     instruments: Sequence[str] = ("bass", "drums", "vocals"),
     splits: str | Sequence[str] = "train",
-    sample_rate: int = SAMPLE_RATE,
     n_channels: int = 2,
 ) -> Path:
     """Write a synthetic multitrack dataset and return its manifest path.
@@ -170,14 +156,14 @@ def write_fixture_dataset(
             raise InvalidInputError(f"{len(split_list)} splits for {n_songs} songs")
 
     gen = np.random.Generator(np.random.PCG64(seed))
-    n_samples = int(round(duration * sample_rate))
+    n_samples = int(round(duration * SAMPLE_RATE))
     lines = []
     for i in range(n_songs):
         song_id = f"song{i:02d}"
         song_dir = root / song_id
         song_dir.mkdir(exist_ok=True)
         for j, inst in enumerate(instruments):
-            stem = fixture_stem(gen, i, j, n_samples, sample_rate, n_channels)
+            stem = fixture_stem(gen, i, j, n_samples, n_channels=n_channels)
             write_wav(song_dir / f"{inst}.wav", stem)
         lines.append(f"{song_id}\t{split_list[i]}")
 

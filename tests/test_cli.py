@@ -244,6 +244,27 @@ def test_a_recorded_path_holding_a_line_break_fails_before_any_song(
     assert loads == [] and not out.exists()
 
 
+@pytest.mark.parametrize("extra", [(), ("drums", "vocals")])
+def test_songs_sharing_one_instrument_fail_before_any_song(tmp_path, monkeypatch, capsys, extra):
+    # Each song holds bass and, in the second case, one instrument no other song holds.
+    root = tmp_path / "ds"
+    write_fixture_dataset(root, n_songs=2, seed=5, duration=0.3, instruments=["bass"])
+    for song, inst in zip(("song00", "song01"), extra):
+        (root / song / f"{inst}.wav").write_bytes((root / song / "bass.wav").read_bytes())
+    loads = []
+    monkeypatch.setattr(cli, "load_song", lambda *args: loads.append(args))
+    out = tmp_path / "out"
+    assert main(["analyze", "--dataset", str(root), "--out", str(out), *FAST_FLAGS]) == 2
+    message = "the listed songs share one instrument, 'bass'; analyze needs at least 2"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert loads == [] and not out.exists()
+    # Planning mutes over the one shared instrument still works.
+    plans = tmp_path / "plans"
+    argv = ["mute-plan", "--dataset", str(root), "--instrument", "bass", "--ratios", "0.5"]
+    assert main(argv + ["--out", str(plans)]) == 0
+    assert (plans / "mute_plan_0.50.json").is_file()
+
+
 def test_correlate_refuses_an_input_path_holding_a_line_break_before_reading(tmp_path, capsys):
     good = tmp_path / "a.csv"
     good.write_text(_handmade_table().to_csv())
@@ -282,6 +303,15 @@ def test_analyze_broken_song_fails_softly(tmp_path, capsys):
     assert log["status"] == "error"
     assert "DatasetError" in log["error"]
     assert log["scores"] == {}
+
+
+def test_an_alpha_that_overflows_the_masks_is_named_in_each_log(fixture_dataset, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["analyze", "--manifest", str(fixture_dataset), "--out", str(out_dir), "--alpha", "150"]
+    assert main(argv + FAST_FLAGS) == 1
+    assert capsys.readouterr().err.count("failed: ") == 3
+    errors = {json.loads(path.read_text())["error"] for path in (out_dir / "logs").glob("*")}
+    assert errors == {"InvalidInputError: |X|^alpha overflows float64 at alpha=150.0"}
 
 
 def test_a_window_where_every_stem_is_silent_is_counted_in_the_log(tmp_path):
@@ -736,6 +766,8 @@ NON_STRING_LABEL_ROWS = json.dumps({"rows": [
     {"song_id": None, "instrument": 7, "sdr": 1.0},
     {"song_id": "None", "instrument": "7", "sdr": 2.0},
 ]})
+# One good row, so that only the value under test can fail the read.
+GOOD_JSON_ROW = '{"song_id": "a", "instrument": "bass", "sdr": 1.0}'
 
 
 @pytest.mark.parametrize(
@@ -761,10 +793,24 @@ NON_STRING_LABEL_ROWS = json.dumps({"rows": [
          "error: row 0: label None is not a string\n"),
         ("select", "scores.json", NON_STRING_LABEL_ROWS.replace("null", '"a"'),
          "error: row 0: label 7 is not a string\n"),
+        # float() would read these as 1.0, 1000.0 and missing.
+        ("rank", "scores.json", INFINITE_JSON_ROW.replace("Infinity", "true"),
+         "error: row 0: sdr True is not a number or null\n"),
+        ("select", "scores.json", INFINITE_JSON_ROW.replace("Infinity", '"1e3"'),
+         "error: row 0: sdr '1e3' is not a number or null\n"),
+        ("correlate", "scores.json", INFINITE_JSON_ROW.replace("Infinity", '" nan "'),
+         "error: row 0: sdr ' nan ' is not a number or null\n"),
+        # str() would read these back as the text "None" and "[1, 2]".
+        ("rank", "scores.json", f'{{"format_version": null, "rows": [{GOOD_JSON_ROW}]}}',
+         "error: format_version: None is not a string\n"),
+        ("select", "scores.json",
+         f'{{"config": {{"dataset": "d", "n": [1, 2]}}, "rows": [{GOOD_JSON_ROW}]}}',
+         "error: n: [1, 2] is not a string\n"),
     ],
     ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8",
          "csv-duplicate", "json-overflow", "json-long-integer", "json-deep", "json-unknown-key",
-         "json-null-song", "json-integer-instrument"],
+         "json-null-song", "json-integer-instrument", "json-true-score", "json-string-score",
+         "json-padded-nan-string", "json-null-version", "json-list-config"],
 )
 def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
     scores = tmp_path / name

@@ -99,6 +99,14 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             compute_irm([specs_a[0], specs_b[0]])
 
+    def test_overflowing_alpha_is_named(self):
+        # |X| reaches 2048 here: 2048**90 is finite, 2048**150 is beyond float64.
+        clips = [AudioClip(np.full((1, 700), 8.0 * k), 44100) for k in (1, 2)]
+        specs = [stft(c, CFG) for c in clips]
+        compute_irm(specs, OracleConfig(alpha=90.0))
+        with pytest.raises(InvalidInputError, match=r"overflows float64 at alpha=150\.0"):
+            compute_irm(specs, OracleConfig(alpha=150.0))
+
     def test_apply_masks_shape_mismatch(self):
         _, specs = _specs(0, 2, n_samples=700)
         mask_set = compute_irm(specs)

@@ -174,6 +174,13 @@ class TestJson:
         assert back.value("a", "bass", "si_sdr") == 1.25
         assert math.isnan(back.value("b", "bass", "si_sdr"))
 
+    def test_a_score_is_a_json_number_null_or_the_nan_token(self):
+        rows = '[{"song_id": "a", "instrument": "bass", "sdr": NaN, "sir": null, "sar": 2}]'
+        back = ScoreTable.from_json(f'{{"rows": {rows}}}')
+        assert back.value("a", "bass", "sar") == 2.0
+        assert math.isnan(back.value("a", "bass", "sdr"))
+        assert math.isnan(back.value("a", "bass", "sir"))
+
     @pytest.mark.parametrize("label", ["voc\u2028als", "voc\rals"])
     def test_line_break_in_label_rejected(self, label):
         rows = [{"song_id": "a", "instrument": label, "sdr": 1.0}]

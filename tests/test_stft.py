@@ -153,7 +153,7 @@ class TestCachedSynthesisWeight:
             assert out.samples.tobytes() == overlap_add_inverse(spec).tobytes()
 
     def test_cached_arrays_are_read_only(self):
-        for array in _synthesis_weight("hann", 9, 3, 5):
+        for array in _synthesis_weight(StftConfig(window_size=9, hop_size=3), 5):
             assert array.flags.writeable is False
 
 
