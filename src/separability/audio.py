@@ -64,17 +64,4 @@ class AudioClip:
             raise InvalidInputError(
                 f"window [{start}, {stop}) outside clip of {self.n_samples} samples"
             )
-        return AudioClip._from_validated(self.samples[:, start:stop].copy(), self.sample_rate)
-
-    @staticmethod
-    def _from_validated(samples: np.ndarray, sample_rate: int) -> "AudioClip":
-        """Wrap samples cut from validated clips, which need no second validation.
-
-        ``samples`` must already be a C-contiguous (channels, samples)
-        float64 array of finite values; it is marked read-only.
-        """
-        clip = object.__new__(AudioClip)
-        samples.setflags(write=False)
-        object.__setattr__(clip, "samples", samples)
-        object.__setattr__(clip, "sample_rate", sample_rate)
-        return clip
+        return AudioClip(self.samples[:, start:stop].copy(), self.sample_rate)

@@ -658,9 +658,7 @@ def framewise_scores(
         splits = _window_splits(refs, ests, active, config.filter_length, report)
         for t, (s_true, comp) in enumerate(splits):
             j = active[t]
-            columns["si_sdr"][j, w] = si_sdr(
-                AudioClip._from_validated(ests[t], rate), AudioClip._from_validated(refs[j], rate)
-            )
+            columns["si_sdr"][j, w] = si_sdr(AudioClip(ests[t], rate), AudioClip(refs[j], rate))
             for name, value in _ratios(s_true, comp).items():
                 columns[name][j, w] = value
 

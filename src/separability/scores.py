@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
@@ -219,6 +220,10 @@ class ScoreTable:
             cells = line.split(",")
             if len(cells) != 2 + len(METRICS):
                 raise InvalidInputError(f"line {lineno}: expected {2 + len(METRICS)} cells")
+            # A score cell is empty (missing) or the writer's fixed-point decimal.
+            for cell in cells[2:]:
+                if cell and not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", cell):
+                    raise InvalidInputError(f"line {lineno}: score {cell!r} is not a decimal number")
             try:
                 # Cells split on ',' from one stripped line that is no comment
                 # pass every label check of add_row; only the gate is left.

@@ -123,12 +123,14 @@ def window_values(config: StftConfig) -> np.ndarray:
 def check_cola(config: StftConfig) -> ColaReport:
     """Check that the squared window sums to a constant at the config's hop."""
     size, hop = config.window_size, config.hop_size
-    # Lay enough frames that positions [size, size + hop) see every frame
-    # that can touch them; those positions are representative of the
-    # infinite interior.  This function is cached itself, so the sum skips
-    # _synthesis_weight's cache, which keeps only the inverse's frame layouts.
-    cover = _synthesis_weight.__wrapped__(config, size // hop + 3)[0]
-    interior = cover[size : size + hop]
+    # Positions [size, size + hop) stand for the infinite interior: they see
+    # every frame starting at hop, 2 hop, ... below size + hop, added here
+    # in frame order, and no other.
+    wsq = window_values(config) ** 2
+    interior = np.zeros(hop)
+    for start in range(hop, size + hop, hop):
+        lo = max(start - size, 0)
+        interior[lo:] += wsq[size + lo - start : size + hop - start]
     mean = float(interior.mean())
     deviation = float(interior.max() - interior.min()) / mean if mean > 0 else math.inf
     return ColaReport(passed=deviation <= COLA_TOLERANCE, max_deviation=deviation, overlap_gain=mean)

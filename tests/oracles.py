@@ -7,10 +7,11 @@ definitions, ranks are assigned by counting.  Slow is fine; different is
 the point.  The exception is ``whole_song_oracle_separate``, which pins
 how the oracle is blocked rather than the transforms it uses, and so
 calls the package's own STFT, masks and inverse on the whole song.
-``stacked_masks``, ``overlap_add_inverse`` and ``block_lag_correlations``
-are the straightforward forms of the mask, inverse-transform and
-block-FFT correlation steps, which the package computes in place and
-from a cached synthesis weight: each pair must agree bit for bit.
+``stacked_masks``, ``overlap_add_inverse``, ``full_overlap_cola`` and
+``block_lag_correlations`` are the straightforward forms of the mask,
+inverse-transform, overlap-add check and block-FFT correlation steps,
+which the package computes in place, from a cached synthesis weight or
+from only the frames that matter: each pair must agree bit for bit.
 """
 
 import math
@@ -153,6 +154,25 @@ def overlap_add_inverse(spec) -> np.ndarray:
     np.divide(out, wsq, out=out, where=covered)
     out[:, ~covered] = 0.0
     return out[:, config.pad : config.pad + spec.original_length]
+
+
+def full_overlap_cola(config) -> tuple:
+    """(passed, max_deviation, overlap_gain) from a whole overlap-add of frames.
+
+    Overlap-adds ``size // hop + 3`` squared windows at the hop and reads
+    positions [size, size + hop), which every frame that can touch them
+    has reached.
+    """
+    size, hop = config.window_size, config.hop_size
+    n_frames = size // hop + 3
+    frame = window_values(config) ** 2
+    wsq = np.zeros((n_frames - 1) * hop + size)
+    for t in range(n_frames):
+        wsq[t * hop : t * hop + size] += frame
+    interior = wsq[size : size + hop]
+    mean = float(interior.mean())
+    deviation = float(interior.max() - interior.min()) / mean if mean > 0 else math.inf
+    return deviation <= 1e-10, deviation, mean
 
 
 def block_lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int, block: int) -> np.ndarray:

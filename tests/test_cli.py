@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -778,7 +779,7 @@ GOOD_JSON_ROW = '{"song_id": "a", "instrument": "bass", "sdr": 1.0}'
         ("correlate", "scores.json", "[1, 2]", "error: expected a JSON object at the top level"),
         ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,1,-inf,1,1,1\n", "error: line 2: "),
         ("select", "scores.json", INFINITE_JSON_ROW, "error: row 0: "),
-        ("correlate", "scores.csv", "bj\xf8rk", "error: {scores}: not UTF-8 text: "),
+        ("correlate", "scores.csv", b"bj\xf8rk", "error: {scores}: not UTF-8 text: "),
         ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,1,,,,\nb,bass,,,,,\na,bass,2,,,,\n",
          "error: line 4: duplicate row for song 'a' instrument 'bass'\n"),
         ("select", "scores.json", INFINITE_JSON_ROW.replace("Infinity", "1" * 400),
@@ -806,16 +807,28 @@ GOOD_JSON_ROW = '{"song_id": "a", "instrument": "bass", "sdr": 1.0}'
         ("select", "scores.json",
          f'{{"config": {{"dataset": "d", "n": [1, 2]}}, "rows": [{GOOD_JSON_ROW}]}}',
          "error: n: [1, 2] is not a string\n"),
+        # float() would read these as missing, 1000.0, 1000.0, 5.0 and 3.0.
+        ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,1,nan,1,1,1\n",
+         "error: line 2: score 'nan' is not a decimal number\n"),
+        ("select", "scores.csv", CSV_HEADER_LINE + "a,bass,1, 1e3,1,1,1\n",
+         "error: line 2: score ' 1e3' is not a decimal number\n"),
+        ("correlate", "scores.csv", CSV_HEADER_LINE + "a,bass,1,1,1_000,1,1\n",
+         "error: line 2: score '1_000' is not a decimal number\n"),
+        ("rank", "scores.csv", CSV_HEADER_LINE + "a,bass,1,1,1,+5,1\n",
+         "error: line 2: score '+5' is not a decimal number\n"),
+        ("select", "scores.csv", CSV_HEADER_LINE + "a,bass,1,1,1,1,\u0663\n",
+         "error: line 2: score '\u0663' is not a decimal number\n"),
     ],
     ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8",
          "csv-duplicate", "json-overflow", "json-long-integer", "json-deep", "json-unknown-key",
          "json-null-song", "json-integer-instrument", "json-true-score", "json-string-score",
-         "json-padded-nan-string", "json-null-version", "json-list-config"],
+         "json-padded-nan-string", "json-null-version", "json-list-config", "csv-nan",
+         "csv-padded-exponent", "csv-underscore", "csv-plus", "csv-non-ascii-digit"],
 )
 def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
     scores = tmp_path / name
-    # Latin-1 bytes: the "not-utf8" text is no UTF-8 at all, the others are ASCII.
-    scores.write_bytes(text.encode("latin-1"))
+    # The "not-utf8" case is raw bytes, no UTF-8 at all; the others are text.
+    scores.write_bytes(text if isinstance(text, bytes) else text.encode())
     message = message.format(scores=scores)
     out = tmp_path / "out"
     pick = ["--scores", str(scores), "--metric", "si_sdr", "--instrument", "bass"]
@@ -1193,3 +1206,38 @@ def test_pool_starts_no_more_workers_than_songs(tiny_dataset, tmp_path, monkeypa
     argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path), "--workers", "8"]
     assert main(argv + FAST_FLAGS) == 0
     assert sizes == [2]
+
+
+def test_a_pool_that_breaks_while_songs_are_submitted_loses_none(tmp_path, monkeypatch):
+    # The first pool breaks at its third submit, so songs 2-5 never start
+    # there: the first three rerun alone, as songs that may have been
+    # running would, and the fourth in a pool sized to it.
+    root = tmp_path / "ds"
+    write_fixture_dataset(root, n_songs=6, seed=5, duration=0.3, n_channels=1)
+    base = ["analyze", "--dataset", str(root)] + FAST_FLAGS
+    assert main(base + ["--out", str(tmp_path / "clean")]) == 0
+    sizes = []
+
+    class BreakingPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+            self.submits = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.submits += 1
+            if len(sizes) == 1 and self.submits == 3:
+                raise BrokenProcessPool("a worker died")
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", BreakingPool)
+    assert main(base + ["--out", str(tmp_path / "broken"), "--workers", "3"]) == 0
+    assert sizes == [3, 1, 1, 1, 1]
+    assert _tree(tmp_path / "broken") == _tree(tmp_path / "clean")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
 from separability import (
@@ -108,6 +109,29 @@ class TestDecomposeCases:
         e_pad[:, :n] = est.samples
         reconstructed = s_pad + comp.e_spat + comp.e_interf + comp.e_artif
         assert np.max(np.abs(reconstructed - e_pad)) < 1e-9
+
+    def test_lstsq_last_resort_keeps_the_partition(self, rng, monkeypatch):
+        # With every Cholesky refused, the target projection falls through
+        # the ridge to lstsq; the all-reference one stays block-Toeplitz.
+        def refuse(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("refused")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+        n = 1500
+        refs = [AudioClip(rng.normal(0, 1, (2, n)), 44100) for _ in range(3)]
+        est = AudioClip(
+            0.7 * refs[0].samples + 0.2 * refs[2].samples + rng.normal(0, 0.05, (2, n)),
+            44100,
+        )
+        report = ScoringReport()
+        comp = decompose(refs, est, 0, MetricConfig(filter_length=8), report)
+        assert (report.lstsq, report.ridge, report.dense_fallback) == (1, 0, 0)
+        s_pad = np.zeros_like(comp.e_spat)
+        s_pad[:, :n] = refs[0].samples
+        e_pad = np.zeros_like(comp.e_spat)
+        e_pad[:, :n] = est.samples
+        reconstructed = s_pad + comp.e_spat + comp.e_interf + comp.e_artif
+        assert np.max(np.abs(reconstructed - e_pad)) < 1e-12
 
 
 def _near_zero_db_split(rng, metric):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,10 @@ from separability import (
 )
 from separability.stft import _synthesis_weight, window_values
 
-from oracles import overlap_add_inverse
+from oracles import full_overlap_cola, overlap_add_inverse
+
+# The package exports the function stft under the module's name.
+stft_module = importlib.import_module("separability.stft")
 
 
 def _clip(gen, n_samples, n_channels=1):
@@ -56,7 +61,7 @@ class TestConfig:
 
 
 class TestCola:
-    # The interior sum is _synthesis_weight's, down to one-sample hops.
+    # Hann tiles at every hop that divides the window by 3 or more, down to one sample.
     @pytest.mark.parametrize("hop_divisor", [3, 4, 8, 6, 12, 1536])
     def test_hann_passes_at_small_hops(self, hop_divisor):
         cfg = StftConfig(window_size=1536, hop_size=1536 // hop_divisor)
@@ -82,6 +87,31 @@ class TestCola:
         # Hann^2 sums to 3/8 of window/hop frames' worth of unit gain.
         report = check_cola(StftConfig(window_size=1024, hop_size=256))
         assert report.overlap_gain == pytest.approx(0.375 * 1024 / 256, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            StftConfig(1536, 512),
+            StftConfig(1536, 1),
+            StftConfig(1000, 300),
+            StftConfig(1000, 300, "rect"),
+            StftConfig(512, 384, "rect"),
+            StftConfig(512, 256),
+            StftConfig(4096, 1024),
+            StftConfig(9, 3),
+            StftConfig(2, 2, "rect"),
+        ],
+    )
+    def test_matches_full_overlap_add_without_the_inverse_cache(self, monkeypatch, config):
+        def refuse(*args):
+            raise AssertionError("check_cola read the inverse's synthesis weight")
+
+        monkeypatch.setattr(stft_module, "_synthesis_weight", refuse)
+        report = check_cola.__wrapped__(config)
+        passed, deviation, gain = full_overlap_cola(config)
+        assert report.passed is passed
+        assert report.max_deviation.hex() == deviation.hex()
+        assert report.overlap_gain.hex() == gain.hex()
 
 
 class TestRoundTrip:
