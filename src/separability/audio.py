@@ -1,4 +1,4 @@
-"""Time-domain audio container used throughout the package."""
+"""Time-domain audio container, and the rule for clips processed together."""
 
 from __future__ import annotations
 
@@ -65,3 +65,16 @@ class AudioClip:
                 f"window [{start}, {stop}) outside clip of {self.n_samples} samples"
             )
         return AudioClip(self.samples[:, start:stop].copy(), self.sample_rate)
+
+
+def alignment_fault(clips: dict[str, AudioClip]) -> str | None:
+    """Why the named clips differ in length, channel count or sample rate, or None.
+
+    Clips processed together are compared sample for sample, so they must share all three.
+    """
+    if len({(c.n_samples, c.n_channels, c.sample_rate) for c in clips.values()}) <= 1:
+        return None
+    return "misaligned tracks: " + "; ".join(
+        f"{name}: {c.n_samples} samples, {c.n_channels} ch, {c.sample_rate} Hz"
+        for name, c in clips.items()
+    )

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.io.wavfile
 
-from .audio import AudioClip
+from .audio import AudioClip, alignment_fault
 from .errors import AlignmentError, DatasetError, MissingStemError
 from .scores import cell_label_fault
 
@@ -74,22 +74,8 @@ class MultitrackSong:
         if len(stems) < 2:
             raise DatasetError(f"song {self.song_id!r} needs at least 2 stems, got {len(stems)}")
         object.__setattr__(self, "stems", stems)
-        first, *rest = stems.values()
-        for clip in rest:
-            if (
-                clip.n_samples != first.n_samples
-                or clip.n_channels != first.n_channels
-                or clip.sample_rate != first.sample_rate
-            ):
-                raise AlignmentError(
-                    f"song {self.song_id!r} has misaligned tracks: " + self.describe_tracks()
-                )
-
-    def describe_tracks(self) -> str:
-        return "; ".join(
-            f"{name}: {clip.n_samples} samples, {clip.n_channels} ch, {clip.sample_rate} Hz"
-            for name, clip in self.stems.items()
-        )
+        if fault := alignment_fault(stems):
+            raise AlignmentError(f"song {self.song_id!r} has {fault}")
 
     @property
     def instruments(self) -> tuple[str, ...]:

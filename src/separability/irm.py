@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio import AudioClip
+from .audio import AudioClip, alignment_fault
 from .errors import ConfigurationError, InvalidInputError
 from .stft import Spectrogram, StftConfig, _frame_count, _padded_segment, istft, stft
 
@@ -135,8 +135,9 @@ def oracle_separate(
     divided by the same squared-window sum, as with one whole-song
     transform: the estimates are bit-identical to it.
     """
-    if any(s.n_samples != mixture.n_samples or s.n_channels != mixture.n_channels for s in stems):
-        raise InvalidInputError("stems must match the mixture in channels and length")
+    clips = {"mixture": mixture, **{f"stem {j}": s for j, s in enumerate(stems)}}
+    if fault := alignment_fault(clips):
+        raise InvalidInputError(fault)
     if mixture.n_samples == 0:
         raise InvalidInputError("cannot transform an empty clip")
     ws, hop, pad = stft_config.window_size, stft_config.hop_size, stft_config.pad

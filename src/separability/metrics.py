@@ -22,7 +22,7 @@ from typing import ClassVar, Iterator, Sequence
 import numpy as np
 import scipy.linalg
 
-from .audio import AudioClip
+from .audio import AudioClip, alignment_fault
 from .errors import ConfigurationError, InvalidInputError, SilentReferenceError
 
 # Column order used everywhere scores are reported.
@@ -429,9 +429,9 @@ def _window_splits(
 def _stacked(references: Sequence[AudioClip], estimate: AudioClip) -> np.ndarray:
     if len(references) == 0:
         raise InvalidInputError("need at least one reference")
-    for ref in references:
-        if ref.n_samples != estimate.n_samples or ref.n_channels != estimate.n_channels:
-            raise InvalidInputError("references and estimate must share length and channel count")
+    clips = {"estimate": estimate, **{f"reference {j}": r for j, r in enumerate(references)}}
+    if fault := alignment_fault(clips):
+        raise InvalidInputError(fault)
     return np.stack([ref.samples for ref in references])
 
 
@@ -538,8 +538,8 @@ def si_sdr(estimate: AudioClip, reference: AudioClip) -> float:
     Returns NaN (missing) for a zero reference and -MetricConfig.db_cap
     for a zero estimate, whose best rescaling of the reference is zero.
     """
-    if estimate.n_samples != reference.n_samples or estimate.n_channels != reference.n_channels:
-        raise InvalidInputError("estimate and reference must share length and channel count")
+    if fault := alignment_fault({"estimate": estimate, "reference": reference}):
+        raise InvalidInputError(fault)
     s = reference.samples.ravel()
     e = estimate.samples.ravel()
     s_energy = float(np.dot(s, s))
@@ -624,10 +624,10 @@ def framewise_scores(
         )
     if len(references) == 0:
         raise InvalidInputError("need at least one reference/estimate pair")
+    clips = {f"reference {j}": r for j, r in enumerate(references)}
+    if fault := alignment_fault(clips | {f"estimate {j}": e for j, e in enumerate(estimates)}):
+        raise InvalidInputError(fault)
     first = references[0]
-    for clip in list(references) + list(estimates):
-        if clip.n_samples != first.n_samples or clip.n_channels != first.n_channels:
-            raise InvalidInputError("all clips must share length and channel count")
 
     n_sources = len(references)
     bounds = _window_bounds(first.n_samples, first.sample_rate)

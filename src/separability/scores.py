@@ -200,6 +200,10 @@ class ScoreTable:
         metadata: dict[str, str] = {}
         header_seen = False
         table = cls()
+        # A score cell is empty (missing) or the writer's fixed-point decimal.
+        decimal = r"-?[0-9]+(?:\.[0-9]+)?"
+        # One pattern checks all of a row's score cells, which follow its two labels.
+        scores = re.compile(",".join([f"(?:{decimal})?"] * len(METRICS)))
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
@@ -220,10 +224,13 @@ class ScoreTable:
             cells = line.split(",")
             if len(cells) != 2 + len(METRICS):
                 raise InvalidInputError(f"line {lineno}: expected {2 + len(METRICS)} cells")
-            # A score cell is empty (missing) or the writer's fixed-point decimal.
-            for cell in cells[2:]:
-                if cell and not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", cell):
-                    raise InvalidInputError(f"line {lineno}: score {cell!r} is not a decimal number")
+            if not scores.fullmatch(line, len(cells[0]) + len(cells[1]) + 2):
+                # Name the first bad cell.
+                for cell in cells[2:]:
+                    if cell and not re.fullmatch(decimal, cell):
+                        raise InvalidInputError(
+                            f"line {lineno}: score {cell!r} is not a decimal number"
+                        )
             try:
                 # Cells split on ',' from one stripped line that is no comment
                 # pass every label check of add_row; only the gate is left.

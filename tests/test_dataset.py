@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from separability import (
     read_wav,
     write_wav,
 )
+from separability.audio import alignment_fault
 
 SR = 44100
 
@@ -120,6 +122,26 @@ class TestMultitrackSong:
     def test_rejects_misaligned_stems(self, rng):
         with pytest.raises(AlignmentError, match="drums"):
             MultitrackSong("s", {"bass": _clip(rng, n=2000), "drums": _clip(rng, n=1999)})
+
+    def test_rejects_stems_at_mixed_sample_rates(self, rng):
+        bass = _clip(rng)
+        with pytest.raises(AlignmentError, match="drums: 2000 samples, 2 ch, 22050 Hz"):
+            MultitrackSong("s", {"bass": bass, "drums": AudioClip(bass.samples, 22050)})
+
+
+def test_alignment_fault_reads_only_length_channels_and_rate():
+    # A WAV header carries the three attributes, so it can be checked before decoding.
+    def header(n_samples, n_channels=2, sample_rate=SR):
+        return SimpleNamespace(n_samples=n_samples, n_channels=n_channels, sample_rate=sample_rate)
+
+    assert alignment_fault({"a": header(10), "b": header(10)}) is None
+    assert alignment_fault({"a": header(10)}) is None
+    for odd in (header(11), header(10, n_channels=1), header(10, sample_rate=48000)):
+        fault = alignment_fault({"a": header(10), "b": odd})
+        assert fault == (
+            "misaligned tracks: a: 10 samples, 2 ch, 44100 Hz; "
+            f"b: {odd.n_samples} samples, {odd.n_channels} ch, {odd.sample_rate} Hz"
+        )
 
 
 class TestLoadSong:

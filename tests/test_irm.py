@@ -120,6 +120,13 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             oracle_separate(mix, [short, short], CFG)
 
+    def test_oracle_separate_rejects_a_stem_at_another_rate(self, rng):
+        # Masks built at one rate would be applied to a mixture at another.
+        mix = AudioClip(rng.normal(0.0, 0.3, (2, 800)), 44100)
+        half_rate = AudioClip(mix.samples, 22050)
+        with pytest.raises(InvalidInputError, match="stem 1: 800 samples, 2 ch, 22050 Hz"):
+            oracle_separate(mix, [mix, half_rate], CFG)
+
 
 class TestOracleSeparation:
     @given(seed=st.integers(min_value=0, max_value=2**31))

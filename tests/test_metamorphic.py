@@ -1,0 +1,107 @@
+"""Metamorphic checks: a song's level and the order of its stems change no score.
+
+The scores measure how much the stems overlap in time-frequency, which
+depends neither on how loud the song is nor on the order its
+instruments are listed in.
+
+- Gain: every floating-point step from the stems to the scores commutes
+  exactly with a power-of-two scale that neither overflows nor
+  underflows, and every threshold but the silence test is relative to
+  the signal.  So stems scaled by 2^k give the same scores and counts,
+  bit for bit, as long as no window's mean square crosses the silence
+  threshold.
+- Order: the scores move with their instruments.  Reversing the stems
+  changes the order the mixture is summed in, and with it the last bits,
+  so the scores agree to 1e-9 dB rather than bit for bit.
+
+Both run the pipeline ``analyze`` runs (``make_mixture``,
+``oracle_separate``, ``framewise_scores``) on a 4-stem stereo fixture
+song in which one stem is silent for one window, so the checks also
+cover a missing score and a silent-window count.
+"""
+
+import numpy as np
+import pytest
+
+from separability import (
+    AudioClip,
+    MetricConfig,
+    MultitrackSong,
+    ScoringReport,
+    framewise_scores,
+    load_manifest,
+    load_song,
+    make_mixture,
+    oracle_separate,
+)
+from separability.metrics import METRICS
+from separability.synth import write_fixture_dataset
+
+WINDOW = 44100  # samples in one metric window
+FILTER_LENGTHS = (1, 25)
+
+
+@pytest.fixture(scope="module")
+def song(tmp_path_factory):
+    root = tmp_path_factory.mktemp("metamorphic")
+    manifest = load_manifest(
+        write_fixture_dataset(
+            root, n_songs=1, seed=2, duration=3.3, instruments=("bass", "drums", "other", "vocals")
+        )
+    )
+    loaded = load_song(manifest.song_dir("song00"), manifest.instruments)
+    stems = dict(loaded.stems)
+    drums = stems["drums"].samples.copy()
+    drums[:, WINDOW : 2 * WINDOW] = 0.0
+    stems["drums"] = AudioClip(drums, loaded.stems["drums"].sample_rate)
+    return MultitrackSong(loaded.song_id, stems)
+
+
+def scores(song, filter_lengths=FILTER_LENGTHS):
+    """{filter length: ({instrument: FrameScores}, ScoringReport)} of the song."""
+    references = list(song.stems.values())
+    estimates = oracle_separate(make_mixture(song), references)
+    out = {}
+    for flen in filter_lengths:
+        report = ScoringReport()
+        frames = framewise_scores(references, estimates, MetricConfig(flen), report)
+        out[flen] = dict(zip(song.instruments, frames)), report
+    return out
+
+
+@pytest.fixture(scope="module")
+def unscaled(song):
+    found = scores(song)
+    # The premises: a silent stem-window, hence a missing score.
+    report = found[1][1]
+    assert report.silent_windows == [0, 1, 0, 0] and report.windows_scored == 3
+    assert np.isnan(found[1][0]["drums"].sdr[1])
+    return found
+
+
+@pytest.mark.parametrize("k", [-6, -3, 5, 7])
+def test_a_power_of_two_gain_changes_no_bit(k, song, unscaled):
+    scaled = MultitrackSong(
+        song.song_id, {name: clip.scaled(2.0**k) for name, clip in song.stems.items()}
+    )
+    for flen, (frames, report) in scores(scaled).items():
+        want_frames, want_report = unscaled[flen]
+        assert vars(report) == vars(want_report), flen
+        for instrument, got in frames.items():
+            for name in METRICS:
+                want = want_frames[instrument].values(name)
+                assert got.values(name).tobytes() == want.tobytes(), (flen, instrument, name)
+
+
+def test_reversed_stems_keep_each_instruments_scores(song, unscaled):
+    reversed_song = MultitrackSong(song.song_id, dict(reversed(song.stems.items())))
+    for flen, (frames, report) in scores(reversed_song).items():
+        want_frames, want_report = unscaled[flen]
+        # The silent-window counts move with their stems; the others stay.
+        report.silent_windows.reverse()
+        assert vars(report) == vars(want_report), flen
+        for instrument, got in frames.items():
+            for name in METRICS:
+                got_values, want = got.values(name), want_frames[instrument].values(name)
+                assert np.array_equal(np.isnan(got_values), np.isnan(want)), (flen, instrument)
+                np.testing.assert_allclose(got_values, want, rtol=0, atol=1e-9, equal_nan=True)

@@ -239,6 +239,23 @@ class TestSiSdr:
             si_sdr(a, b)
 
 
+# Scores compare clips sample for sample, so a clip at another rate is refused.
+@pytest.mark.parametrize(
+    "score",
+    [
+        si_sdr,
+        lambda a, b: decompose([a, b], a, 0, FAST),
+        lambda a, b: framewise_scores([a, a], [a, b], FAST),
+    ],
+    ids=["si_sdr", "decompose", "framewise_scores"],
+)
+def test_clips_at_mixed_sample_rates_are_refused(score, rng):
+    a = AudioClip(rng.normal(0, 1, (2, 500)), 44100)
+    b = AudioClip(a.samples, 22050)
+    with pytest.raises(InvalidInputError, match="500 samples, 2 ch, 22050 Hz"):
+        score(a, b)
+
+
 class TestFramewise:
     def _pair(self, seconds, rng, sr=8000):
         n = int(seconds * sr)

@@ -5,6 +5,10 @@ frames; ``oracles.whole_song_oracle_separate`` does the same work on the
 whole song at once.  The two must agree bit for bit, at every length
 relative to the padding, the window and the block, and the streamed one
 must not need more memory for a longer song.
+
+A span of the song, cut with one window of context on each side, must
+give the whole song's estimates and scores over that span, so a song can
+be scored span by span through the public calls.
 """
 
 import tracemalloc
@@ -12,8 +16,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from separability import AudioClip, InvalidInputError, OracleConfig, StftConfig, oracle_separate
+from separability import (
+    AudioClip,
+    InvalidInputError,
+    MetricConfig,
+    OracleConfig,
+    ScoringReport,
+    StftConfig,
+    framewise_scores,
+    oracle_separate,
+)
 from separability.irm import BLOCK_FRAMES
+from separability.metrics import METRICS
+from separability.synth import fixture_stem
 
 from oracles import whole_song_oracle_separate
 
@@ -89,6 +104,93 @@ def test_streamed_rejects_empty_clip():
     empty = AudioClip(np.zeros((1, 0)), 44100)
     with pytest.raises(InvalidInputError):
         oracle_separate(empty, [empty, empty])
+
+
+WINDOW = 44100  # samples in one metric window
+
+SPAN_CONFIGS = {
+    "hann_4096_1024": StftConfig(),
+    "hann_256_64": HANN,
+    "hann_1000_250": StftConfig(1000, 250),
+    "rect_16_16": RECT,
+}
+
+
+@pytest.fixture(scope="module")
+def song():
+    """A 5.3 s, 4-stem stereo fixture song, its mixture, and its whole-song
+    estimates by STFT configuration, computed on first use."""
+    gen = np.random.Generator(np.random.PCG64(7))
+    stems = [fixture_stem(gen, 0, j, int(5.3 * WINDOW)) for j in range(4)]
+    mix = AudioClip(sum(s.samples for s in stems), 44100)
+    whole = {}
+
+    def estimates(config):
+        if config not in whole:
+            whole[config] = oracle_separate(mix, stems, config)
+        return whole[config]
+
+    return mix, stems, estimates
+
+
+def span_estimates(mix, stems, config, s0, s1):
+    """Samples [s0, s1) of the estimates, from oracle_separate on a slice.
+
+    The slice opens on a frame boundary at least one window before s0 and
+    closes one window after s1, or at the song's edges.  Every frame that
+    covers [s0, s1) is then a frame of the whole song, and no frame that
+    reaches past the slice's edges into its padding covers [s0, s1).
+    """
+    ws, hop = config.window_size, config.hop_size
+    q0, q1 = max(0, (s0 - ws) // hop * hop), min(mix.n_samples, s1 + ws)
+    estimates = oracle_separate(mix.window(q0, q1), [s.window(q0, q1) for s in stems], config)
+    return [est.window(s0 - q0, s1 - q0) for est in estimates]
+
+
+@pytest.mark.parametrize("config", SPAN_CONFIGS.values(), ids=SPAN_CONFIGS)
+def test_a_span_gives_the_whole_songs_samples(config, song):
+    mix, stems, estimates = song
+    n = mix.n_samples
+    # The first window, three interior ones, and the last one with the tail.
+    for s0, s1 in ((0, WINDOW), (WINDOW, 4 * WINDOW), (4 * WINDOW, n)):
+        for got, want in zip(span_estimates(mix, stems, config, s0, s1), estimates(config)):
+            assert got.samples.tobytes() == want.samples[:, s0:s1].tobytes(), (s0, s1)
+
+
+@pytest.mark.parametrize("config", SPAN_CONFIGS.values(), ids=SPAN_CONFIGS)
+def test_a_song_shorter_than_one_window_is_one_span(config, song):
+    mix, stems, _ = song
+    n = int(0.7 * WINDOW)
+    mix, stems = mix.window(0, n), [s.window(0, n) for s in stems]
+    whole = oracle_separate(mix, stems, config)
+    for got, want in zip(span_estimates(mix, stems, config, 0, n), whole):
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("filter_length", [1, 25])
+def test_window_aligned_spans_give_the_whole_songs_scores(filter_length, song):
+    mix, stems, estimates = song
+    n = mix.n_samples
+    config = MetricConfig(filter_length=filter_length)
+    whole = ScoringReport()
+    want = framewise_scores(stems, estimates(StftConfig()), config, whole)
+    spans = ScoringReport()
+    parts = [
+        framewise_scores(
+            [s.window(s0, s1) for s in stems],
+            span_estimates(mix, stems, StftConfig(), s0, s1),
+            config,
+            spans,
+        )
+        # Two windows, then one, then two and the tail.
+        for s0, s1 in ((0, 2 * WINDOW), (2 * WINDOW, 3 * WINDOW), (3 * WINDOW, n))
+    ]
+    assert whole.windows_scored == 5 and whole.tail_samples_unscored == n - 5 * WINDOW
+    assert vars(spans) == vars(whole)
+    for j, frames in enumerate(want):
+        for name in METRICS:
+            joined = np.concatenate([part[j].values(name) for part in parts])
+            assert joined.tobytes() == frames.values(name).tobytes(), (j, name)
 
 
 def working_memory(seconds: float) -> int:

@@ -127,6 +127,14 @@ class TestCsv:
         line = table.to_csv().splitlines()[-1]
         assert line == "a,bass,1.000000,,,,"
 
+    def test_blank_lines_between_rows_are_skipped(self):
+        table = _table([("a", "bass", 1.25), ("b", "bass", -2.5)], {"alpha": "2.0"})
+        table.add_row("c", "bass", {"sdr": 0.5})
+        text = table.to_csv()
+        # An empty line and a line of whitespace after every line.
+        back = ScoreTable.from_csv(text.replace("\n", "\n\n \t\n"))
+        assert back.to_csv() == text
+
     def test_header_enforced(self):
         with pytest.raises(InvalidInputError):
             ScoreTable.from_csv("song,inst,foo\n")
