@@ -69,15 +69,14 @@ def compute_irm(
 ) -> MaskSet:
     """Ratio masks from the stem spectrograms, in stem order.
 
-    All spectrograms must share one shape and framing configuration.
+    All spectrograms must share one shape, framing configuration and sample rate.
     Raises :class:`InvalidInputError`, naming alpha, if |X|^alpha overflows.
     """
     if len(source_specs) == 0:
         raise InvalidInputError("need at least one source spectrogram")
     first = source_specs[0]
-    for spec in source_specs[1:]:
-        if spec.bins.shape != first.bins.shape or spec.config != first.config:
-            raise InvalidInputError("source spectrograms must share shape and configuration")
+    if len({(spec.bins.shape, spec.config, spec.sample_rate) for spec in source_specs}) > 1:
+        raise InvalidInputError("source spectrograms must share shape, configuration and sample rate")
 
     # |X_j|^alpha goes straight into its slot and becomes the mask in place.
     n = len(source_specs)

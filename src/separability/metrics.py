@@ -102,31 +102,28 @@ _PIVOT_FLOOR = 1e-10
 _RESIDUAL_TOL = 1e-12
 
 
-def _lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
-    """out[k, a, b] = sum_t x[a, t + k] * y[b, t] for 0 <= k < max_lag.
+def _lag_correlations(regs: np.ndarray, ests: np.ndarray, max_lag: int) -> np.ndarray:
+    """out[k, a, b] = sum_t x[a, t + k] * regs[b, t] for 0 <= k < max_lag, x = regs then ests.
 
     Signals are zero past their end.  Up to _DIRECT_MAX_LAG lags each is
-    one matrix product.  Beyond, both signals are cut into blocks of
-    B >= max_lag samples; y's block b only meets x's blocks b and b + 1
-    at those lags, so every pair costs a sum of 2B-point spectra.
+    one matrix product.  Beyond, all rows are cut into blocks of B >= max_lag
+    samples and transformed once; regs' block b only meets x's blocks b and
+    b + 1 at those lags, so every pair costs a sum of 2B-point spectra.
     """
-    n = x.shape[-1]
+    m, n = regs.shape
     if max_lag <= _DIRECT_MAX_LAG:
-        out = np.zeros((max_lag, x.shape[0], y.shape[0]))
+        x = np.concatenate([regs, ests])
+        out = np.zeros((max_lag, x.shape[0], m))
         for k in range(min(max_lag, n)):
-            out[k] = x[:, k:] @ y[:, : n - k].T
+            out[k] = x[:, k:] @ regs[:, : n - k].T
         return out
     block = max(max_lag, _MIN_BLOCK)
     n_blocks = -(-n // block)
-
-    def spectra(s):
-        padded = np.zeros((s.shape[0], (n_blocks + 1) * block))
-        padded[:, :n] = s
-        return np.fft.rfft(padded.reshape(s.shape[0], n_blocks + 1, block), 2 * block)
-
-    fx = spectra(x)
-    fy = spectra(y)[:, :n_blocks]
-    np.conjugate(fy, out=fy)
+    padded = np.zeros((m + ests.shape[0], (n_blocks + 1) * block))
+    padded[:m, :n] = regs
+    padded[m:, :n] = ests
+    fx = np.fft.rfft(padded.reshape(len(padded), n_blocks + 1, block), 2 * block)
+    fy = np.conjugate(fx[:m, :n_blocks])
     # Spectrum of the 2B-sample stretch of x starting at each block: the
     # next block enters delayed by B, a factor (-1)^f on a 2B-point grid.
     # Built in place one block at a time, so block b + 1 is still x's own
@@ -340,27 +337,30 @@ def _full_length_lags(regs: np.ndarray, flen: int) -> np.ndarray:
 
 
 def _gram(lags: np.ndarray) -> np.ndarray:
-    """Dense Gram matrix in regressor-major order from (L, m, m) lag blocks."""
+    """Dense, exactly symmetric Gram matrix in regressor-major order from (L, m, m) lag blocks."""
     flen, m, _ = lags.shape
     gram = np.empty((m * flen, m * flen))
     for i in range(m):
         for j in range(i, m):
             block = scipy.linalg.toeplitz(lags[:, j, i], lags[:, i, j])
             gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
-            gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
+            if i != j:  # toeplitz(c, c) is already symmetric
+                gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
     return gram
 
 
-def _dense_solve(gram: np.ndarray, rhs: np.ndarray, report: ScoringReport) -> np.ndarray:
-    """Cholesky solve of the normal equations, then ridge, then lstsq.
+def _dense_solve(lags: np.ndarray, rhs: np.ndarray, report: ScoringReport) -> np.ndarray:
+    """Cholesky solve of the normal equations of _gram(lags), then ridge, then lstsq.
 
-    Each last resort (ridge or lstsq) that runs is counted in ``report``.
+    cho_factor factors the Gram's transpose, the same matrix in Fortran order, in place;
+    the last resorts rebuild it.  Each one that runs (ridge or lstsq) is counted in ``report``.
     """
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(_gram(lags).T, lower=True, overwrite_a=True, check_finite=False)
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     except scipy.linalg.LinAlgError:
         pass
+    gram = _gram(lags)
     ridge = 1e-10 * np.trace(gram) / gram.shape[0]
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:
@@ -399,23 +399,23 @@ def _window_splits(
     keep = np.flatnonzero(flat.any(axis=1))
     regs = flat[keep]
     m = keep.size
-    corr = _lag_correlations(np.concatenate([regs, ests.reshape(n_out, n)]), regs, flen)
+    corr = _lag_correlations(regs, ests.reshape(n_out, n), flen)
     auto = corr[:, :m]  # auto[k, i, j] = sum_t r_i[t + k] r_j[t]
     cross = corr[:, m:].transpose(0, 2, 1)  # cross[k, i, c] = sum_t e_c[t + k] r_i[t]
 
     coef = _block_toeplitz_solve(auto, cross)
     if coef is None:
         report.dense_fallback += 1
-        gram = _gram(_full_length_lags(regs, flen))
         rhs = cross.transpose(1, 0, 2).reshape(m * flen, n_out)
-        coef = _dense_solve(gram, rhs, report).reshape(m, flen, n_out).transpose(1, 0, 2)
+        coef = _dense_solve(_full_length_lags(regs, flen), rhs, report)
+        coef = coef.reshape(m, flen, n_out).transpose(1, 0, 2)
     p_all = _synthesize(coef, regs).reshape(len(targets), n_ch, -1)
 
     for t, j in enumerate(targets):
         own = np.flatnonzero(keep // n_ch == j)
         channels = slice(t * n_ch, (t + 1) * n_ch)
         rhs = cross[:, own, channels].transpose(1, 0, 2).reshape(own.size * flen, n_ch)
-        filt = _dense_solve(_gram(auto[:, own][:, :, own]), rhs, report)
+        filt = _dense_solve(auto[:, own][:, :, own], rhs, report)
         filters = filt.reshape(own.size, flen, n_ch).transpose(2, 0, 1)
         p_target = fftconvolve(filters, regs[own][np.newaxis]).sum(axis=1)
         s = _zero_padded(refs[j], p_all.shape[-1])

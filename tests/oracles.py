@@ -12,11 +12,15 @@ calls the package's own STFT, masks and inverse on the whole song.
 inverse-transform, overlap-add check and block-FFT correlation steps,
 which the package computes in place, from a cached synthesis weight or
 from only the frames that matter: each pair must agree bit for bit.
+``entrywise_gram`` and ``copying_dense_solve`` are the same for the
+dense projection's Gram matrix and its Cholesky, ridge and lstsq chain,
+which the package factors in place.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from separability import OracleConfig, StftConfig, apply_masks, compute_irm, istft, stft
 from separability.stft import window_values
@@ -191,3 +195,40 @@ def block_lag_correlations(x: np.ndarray, y: np.ndarray, max_lag: int, block: in
     segments = fx[:, :-1] + sign * fx[:, 1:]
     cross = np.matmul(segments.transpose(2, 0, 1), fy.conj().transpose(2, 1, 0))
     return np.fft.irfft(cross, 2 * block, axis=0)[:max_lag]
+
+
+def entrywise_gram(lags: np.ndarray) -> np.ndarray:
+    """Regressor-major Gram, entry ((i, p), (j, q)) = <r_i delayed by p, r_j delayed by q>.
+
+    For i <= j that is lags[p - q, j, i] when p >= q and lags[q - p, i, j]
+    otherwise; the blocks below the diagonal mirror those above it.
+    """
+    flen, m, _ = lags.shape
+    p, q = np.indices((flen, flen))
+    gram = np.empty((m * flen, m * flen))
+    for i in range(m):
+        for j in range(i, m):
+            block = np.where(p >= q, lags[np.abs(p - q), j, i], lags[np.abs(p - q), i, j])
+            gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
+            gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
+    return gram
+
+
+def copying_dense_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(solution, ridge count, lstsq count) of Cholesky, then ridge, then lstsq.
+
+    Every factorization gets a C-ordered matrix, which cho_factor copies
+    into Fortran order before it factors.
+    """
+    try:
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False), 0, 0
+    except scipy.linalg.LinAlgError:
+        pass
+    ridge = 1e-10 * np.trace(gram) / gram.shape[0]
+    regularized = gram + ridge * np.eye(gram.shape[0])
+    try:
+        factor = scipy.linalg.cho_factor(regularized, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return np.linalg.lstsq(regularized, rhs, rcond=None)[0], 0, 1
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False), 1, 0

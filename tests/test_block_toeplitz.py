@@ -60,10 +60,10 @@ def correlated_signals(gen, m: int, n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [20, 50, 1000])
 def test_lag_correlations_match_direct_sums(flen, n):
     gen = np.random.Generator(np.random.PCG64(flen * 1000 + n))
-    x = gen.normal(size=(5, n))
-    y = gen.normal(size=(3, n))
-    got = _lag_correlations(x, y, flen)
-    want = direct_lags(x, y, min(flen, n))
+    regs = gen.normal(size=(3, n))
+    ests = gen.normal(size=(2, n))
+    got = _lag_correlations(regs, ests, flen)
+    want = direct_lags(np.concatenate([regs, ests]), regs, min(flen, n))
     assert got.shape == (flen, 5, 3)
     assert np.max(np.abs(got[: want.shape[0]] - want)) < 1e-12 * n
     assert np.max(np.abs(got[want.shape[0] :]), initial=0.0) < 1e-12 * n
@@ -71,12 +71,11 @@ def test_lag_correlations_match_direct_sums(flen, n):
 
 @pytest.mark.parametrize("flen", [_DIRECT_MAX_LAG + 1, 300, 512])
 def test_lag_correlations_keep_the_block_formula_bits(flen):
-    """The block segments and the conjugate are built in place; the bits must not move."""
+    """One transform of all rows, block segments built in place: the bits must not move."""
     gen = np.random.Generator(np.random.PCG64(flen))
     x = gen.normal(size=(16, 44100))
-    y = x[:8]
-    want = block_lag_correlations(x, y, flen, max(flen, _MIN_BLOCK))
-    assert _lag_correlations(x, y, flen).tobytes() == want.tobytes()
+    want = block_lag_correlations(x, x[:8], flen, max(flen, _MIN_BLOCK))
+    assert _lag_correlations(x[:8], x[8:], flen).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("flen", [1, 2, _DIRECT_MAX_LAG, _DIRECT_MAX_LAG + 1, 64, 512])

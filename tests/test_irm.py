@@ -99,6 +99,13 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             compute_irm([specs_a[0], specs_b[0]])
 
+    def test_spectrograms_at_another_rate(self, rng):
+        # Same shape and framing; only the rate differs.
+        clip = AudioClip(rng.normal(0.0, 0.3, (2, 1000)), 44100)
+        half_rate = AudioClip(clip.samples, 22050)
+        with pytest.raises(InvalidInputError, match="sample rate"):
+            compute_irm([stft(clip, CFG), stft(half_rate, CFG)])
+
     def test_overflowing_alpha_is_named(self):
         # |X| reaches 2048 here: 2048**90 is finite, 2048**150 is beyond float64.
         clips = [AudioClip(np.full((1, 700), 8.0 * k), 44100) for k in (1, 2)]
