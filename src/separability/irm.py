@@ -42,16 +42,19 @@ class OracleConfig:
 
 @dataclass(frozen=True, eq=False)
 class MaskSet:
-    """Per-source ratio masks over one TF grid.
+    """Per-source ratio masks over one TF grid, with its framing and sample rate.
 
     masks has shape (sources, channels, frames, freqs), entries in [0, 1],
     and sums to one over the sources at every bin.  A bin where every
     source is exactly silent gets 1/n in each of the n masks.  That value
     changes no estimate: the oracle masks the sum of these same sources,
-    which is exactly silent there too.
+    which is exactly silent there too.  config and sample_rate are those
+    of the spectrograms the masks were computed from.
     """
 
     masks: np.ndarray
+    config: StftConfig
+    sample_rate: int
 
     def __post_init__(self):
         arr = np.asarray(self.masks, dtype=np.float64)
@@ -94,15 +97,20 @@ def compute_irm(
         masks /= denom
     if silent.any():
         masks[:, silent] = 1.0 / n
-    return MaskSet(masks)
+    return MaskSet(masks, first.config, first.sample_rate)
 
 
 def apply_masks(mask_set: MaskSet, mixture_spec: Spectrogram) -> list[Spectrogram]:
-    """Masked copies of the mixture spectrogram, one per source."""
-    if mask_set.masks.shape[1:] != mixture_spec.bins.shape:
+    """Masked copies of the mixture spectrogram, one per source.
+
+    The mixture spectrogram must have the masks' shape, framing configuration and sample rate.
+    """
+    built = (mask_set.masks.shape[1:], mask_set.config, mask_set.sample_rate)
+    given = (mixture_spec.bins.shape, mixture_spec.config, mixture_spec.sample_rate)
+    if built != given:
         raise InvalidInputError(
-            f"mask shape {mask_set.masks.shape[1:]} does not match mixture "
-            f"shape {mixture_spec.bins.shape}"
+            "masks for shape {}, {} at {} Hz do not match the mixture spectrogram's "
+            "shape {}, {} at {} Hz".format(*built, *given)
         )
     return [
         Spectrogram(

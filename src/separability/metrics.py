@@ -352,24 +352,28 @@ def _gram(lags: np.ndarray) -> np.ndarray:
 def _dense_solve(lags: np.ndarray, rhs: np.ndarray, report: ScoringReport) -> np.ndarray:
     """Cholesky solve of the normal equations of _gram(lags), then ridge, then lstsq.
 
-    cho_factor factors the Gram's transpose, the same matrix in Fortran order, in place;
-    the last resorts rebuild it.  Each one that runs (ridge or lstsq) is counted in ``report``.
+    rhs and the solution are (L, m, r), delay-major.  Each attempt factors a fresh Gram's
+    transpose, Fortran-ordered, in place.  A ridge or lstsq that runs is counted in ``report``.
     """
-    try:
-        factor = scipy.linalg.cho_factor(_gram(lags).T, lower=True, overwrite_a=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        pass
+    flen, m, n_out = rhs.shape
+    rhs = rhs.transpose(1, 0, 2).reshape(m * flen, n_out)
     gram = _gram(lags)
     ridge = 1e-10 * np.trace(gram) / gram.shape[0]
-    regularized = gram + ridge * np.eye(gram.shape[0])
-    try:
-        factor = scipy.linalg.cho_factor(regularized, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    for attempt in range(2):
+        try:
+            factor = scipy.linalg.cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            del gram  # the traceback still holds it until this block is left
+        else:
+            report.ridge += attempt
+            x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            break
+        gram = _gram(lags)
+        gram.flat[:: gram.shape[0] + 1] += ridge
+    else:
         report.lstsq += 1
-        return np.linalg.lstsq(regularized, rhs, rcond=None)[0]
-    report.ridge += 1
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        x = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return x.reshape(m, flen, n_out).transpose(1, 0, 2)
 
 
 def _window_splits(
@@ -406,18 +410,14 @@ def _window_splits(
     coef = _block_toeplitz_solve(auto, cross)
     if coef is None:
         report.dense_fallback += 1
-        rhs = cross.transpose(1, 0, 2).reshape(m * flen, n_out)
-        coef = _dense_solve(_full_length_lags(regs, flen), rhs, report)
-        coef = coef.reshape(m, flen, n_out).transpose(1, 0, 2)
+        coef = _dense_solve(_full_length_lags(regs, flen), cross, report)
     p_all = _synthesize(coef, regs).reshape(len(targets), n_ch, -1)
 
     for t, j in enumerate(targets):
         own = np.flatnonzero(keep // n_ch == j)
         channels = slice(t * n_ch, (t + 1) * n_ch)
-        rhs = cross[:, own, channels].transpose(1, 0, 2).reshape(own.size * flen, n_ch)
-        filt = _dense_solve(auto[:, own][:, :, own], rhs, report)
-        filters = filt.reshape(own.size, flen, n_ch).transpose(2, 0, 1)
-        p_target = fftconvolve(filters, regs[own][np.newaxis]).sum(axis=1)
+        filt = _dense_solve(auto[:, own][:, :, own], cross[:, own, channels], report)
+        p_target = fftconvolve(filt.transpose(2, 1, 0), regs[own][np.newaxis]).sum(axis=1)
         s = _zero_padded(refs[j], p_all.shape[-1])
         yield s, ErrorComponents(
             e_spat=p_target - s,

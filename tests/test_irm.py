@@ -121,6 +121,24 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             apply_masks(mask_set, other[0])
 
+    def test_apply_masks_at_another_rate(self, rng):
+        # Same shape and framing; only the mixture's rate differs.
+        clip = AudioClip(rng.normal(0.0, 0.3, (2, 1000)), 44100)
+        mask_set = compute_irm([stft(clip, CFG)] * 2)
+        half_rate = stft(AudioClip(clip.samples, 22050), CFG)
+        with pytest.raises(InvalidInputError, match="at 44100 Hz do not match .* at 22050 Hz"):
+            apply_masks(mask_set, half_rate)
+        assert (mask_set.config, mask_set.sample_rate) == (CFG, 44100)
+
+    def test_apply_masks_at_another_hop(self, rng):
+        # 1000 samples at hop 32 and 2048 at hop 64 both make 33 frames.
+        fine = StftConfig(256, 32)
+        masks = compute_irm([stft(AudioClip(rng.normal(0.0, 0.3, (2, 1000)), 44100), fine)] * 2)
+        mixture = stft(AudioClip(rng.normal(0.0, 0.3, (2, 2048)), 44100), CFG)
+        assert mixture.bins.shape == masks.masks.shape[1:]
+        with pytest.raises(InvalidInputError, match="hop_size=32.*hop_size=64"):
+            apply_masks(masks, mixture)
+
     def test_oracle_separate_rejects_misaligned_stems(self, rng):
         mix = AudioClip(rng.normal(0.0, 0.3, (1, 800)), 44100)
         short = AudioClip(rng.normal(0.0, 0.3, (1, 700)), 44100)

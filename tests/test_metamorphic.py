@@ -9,7 +9,9 @@ instruments are listed in.
   underflows, and every threshold but the silence test is relative to
   the signal.  So stems scaled by 2^k give the same scores and counts,
   bit for bit, as long as no window's mean square crosses the silence
-  threshold.
+  threshold.  A gain that lifts one stem-window over it changes only
+  that window: the stem gains its scores there, and the other stems'
+  move in their last bits.
 - Order: the scores move with their instruments.  Reversing the stems
   changes the order the mixture is summed in, and with it the last bits,
   so the scores agree to 1e-9 dB rather than bit for bit.
@@ -19,6 +21,8 @@ Both run the pipeline ``analyze`` runs (``make_mixture``,
 song in which one stem is silent for one window, so the checks also
 cover a missing score and a silent-window count.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from separability.synth import write_fixture_dataset
 
 WINDOW = 44100  # samples in one metric window
 FILTER_LENGTHS = (1, 25)
+THRESHOLD = MetricConfig.silence_threshold
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +110,42 @@ def test_reversed_stems_keep_each_instruments_scores(song, unscaled):
                 got_values, want = got.values(name), want_frames[instrument].values(name)
                 assert np.array_equal(np.isnan(got_values), np.isnan(want)), (flen, instrument)
                 np.testing.assert_allclose(got_values, want, rtol=0, atol=1e-9, equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def quiet_song(song):
+    """The song with bass's window 2 brought just under the silence threshold."""
+    stems = dict(song.stems)
+    bass = stems["bass"].samples.copy()
+    segment = bass[:, 2 * WINDOW : 3 * WINDOW]
+    # A power-of-two gain puts its mean square in [threshold / 4, threshold),
+    # so any gain 2^k with k >= 1 lifts it over.
+    segment *= 2.0 ** math.floor(math.log(THRESHOLD / np.mean(segment**2), 4))
+    assert THRESHOLD / 4 <= np.mean(segment**2) < THRESHOLD
+    stems["bass"] = AudioClip(bass, song.stems["bass"].sample_rate)
+    return MultitrackSong(song.song_id, stems)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_gain_across_the_silence_threshold_changes_only_that_window(k, quiet_song):
+    quiet = quiet_song.instruments.index("bass")
+    scaled = MultitrackSong(
+        quiet_song.song_id, {name: clip.scaled(2.0**k) for name, clip in quiet_song.stems.items()}
+    )
+    unscaled = scores(quiet_song)
+    for flen, (frames, report) in scores(scaled).items():
+        want_frames, want_report = unscaled[flen]
+        # Bass leaves the silent count in window 2; every other count stays.
+        want_report.silent_windows[quiet] -= 1
+        assert vars(report) == vars(want_report), flen
+        for instrument, got in frames.items():
+            for name in METRICS:
+                got_values, want = got.values(name), want_frames[instrument].values(name)
+                others = [0, 1]  # every window but the quiet one
+                assert got_values[others].tobytes() == want[others].tobytes(), (flen, instrument)
+                if instrument == "bass":
+                    assert np.isnan(want[2]) and np.isfinite(got_values[2]), (flen, name)
+                else:
+                    # One more estimate row in the window's correlations
+                    # moves the other stems' last bits (ROADMAP item 2).
+                    assert abs(got_values[2] - want[2]) <= 1e-9, (flen, instrument, name)
