@@ -165,19 +165,20 @@ def apply_mute_plan(song: MultitrackSong, plan: MutePlan) -> MultitrackSong:
 
 
 def _drop_missing_pairs(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """x and y without the pairs missing a member; at least two pairs must remain."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise InvalidInputError(f"x and y must be equal-length vectors, got {x.shape}, {y.shape}")
     keep = ~(np.isnan(x) | np.isnan(y))
+    if keep.sum() < 2:
+        raise InvalidInputError(f"need at least 2 complete pairs, got {keep.sum()}")
     return x[keep], y[keep]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample product-moment correlation; pairs with a missing member dropped."""
     x, y = _drop_missing_pairs(x, y)
-    if x.size < 2:
-        raise InvalidInputError(f"need at least 2 complete pairs, got {x.size}")
     # An infinite input, or one whose squares overflow, is caught below.
     with np.errstate(over="ignore", invalid="ignore"):
         dx = x - x.mean()
@@ -204,8 +205,6 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation of fractional average-tie ranks."""
     x, y = _drop_missing_pairs(x, y)
-    if x.size < 2:
-        raise InvalidInputError(f"need at least 2 complete pairs, got {x.size}")
     return pearson(_average_ranks(x), _average_ranks(y))
 
 

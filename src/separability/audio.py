@@ -9,6 +9,16 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+def frozen_array(value, dtype, ndim: int, layout: str) -> np.ndarray:
+    """value as a read-only C-contiguous array of dtype and rank ndim; copies only when it must."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim != ndim:
+        raise InvalidInputError(f"{layout}, got shape {arr.shape}")
+    arr = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class AudioClip:
     """Multichannel PCM audio held as float64, shape (channels, samples).
@@ -25,19 +35,12 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
-        if arr.ndim != 2:
-            raise InvalidInputError(
-                f"samples must be 1-D or (channels, samples), got shape {arr.shape}"
-            )
+        samples = np.expand_dims(self.samples, 0) if np.ndim(self.samples) == 1 else self.samples
+        arr = frozen_array(samples, np.float64, 2, "samples must be 1-D or (channels, samples)")
         if not np.isfinite(arr).all():
             raise InvalidInputError("samples must be finite; found NaN or infinite values")
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 

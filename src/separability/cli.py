@@ -553,11 +553,18 @@ def build_parser() -> argparse.ArgumentParser:
     seed_arg = argparse.ArgumentParser(add_help=False)
     seed_arg.add_argument("--seed", type=int, help="random seed (default 0)")
 
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", help="dataset root directory")
+    dataset.add_argument("--manifest", help="manifest path (default <dataset>/manifest.tsv)")
+
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--scores", required=True, help="scores.csv or scores.json")
+    table.add_argument("--metric", required=True, choices=METRICS)
+    table.add_argument("--instrument", required=True)
+
     p = sub.add_parser(
-        "analyze", parents=[framing, dsp, seed_arg], help="score every song of a dataset"
+        "analyze", parents=[framing, dsp, seed_arg, dataset], help="score every song of a dataset"
     )
-    p.add_argument("--dataset", help="dataset root directory")
-    p.add_argument("--manifest", help="manifest path (default <dataset>/manifest.tsv)")
     p.add_argument("--out", help="output directory (default separability_out)")
     p.add_argument("--workers", type=int, help="parallel song workers (default 1)")
     p.add_argument(
@@ -567,17 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("rank", help="order songs by a metric for one instrument")
-    p.add_argument("--scores", required=True, help="scores.csv or scores.json")
-    p.add_argument("--metric", required=True, choices=METRICS)
-    p.add_argument("--instrument", required=True)
+    p = sub.add_parser("rank", parents=[table], help="order songs by a metric for one instrument")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("select", parents=[seed_arg], help="cut a subset from the ranking")
-    p.add_argument("--scores", required=True, help="scores.csv or scores.json")
-    p.add_argument("--metric", required=True, choices=METRICS)
-    p.add_argument("--instrument", required=True)
+    p = sub.add_parser("select", parents=[seed_arg, table], help="cut a subset from the ranking")
     p.add_argument("--criterion", required=True, choices=CRITERIA)
     p.add_argument("--fraction", required=True, type=float)
     p.add_argument("--out", help="output file (default stdout)")
@@ -590,10 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser(
-        "mute-plan", parents=[seed_arg], help="plan seeded stem muting over the train split"
+        "mute-plan", parents=[seed_arg, dataset], help="plan seeded stem muting over the train split"
     )
-    p.add_argument("--dataset", help="dataset root directory")
-    p.add_argument("--manifest", help="manifest path (default <dataset>/manifest.tsv)")
     p.add_argument("--instrument", required=True)
     p.add_argument(
         "--ratios",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio import AudioClip, alignment_fault
+from .audio import AudioClip, alignment_fault, frozen_array
 from .errors import ConfigurationError, InvalidInputError
 from .stft import Spectrogram, StftConfig, _frame_count, _padded_segment, istft, stft
 
@@ -57,14 +57,8 @@ class MaskSet:
     sample_rate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.masks, dtype=np.float64)
-        if arr.ndim != 4:
-            raise InvalidInputError(
-                f"masks must be (sources, channels, frames, freqs), got shape {arr.shape}"
-            )
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "masks", arr)
+        layout = "masks must be (sources, channels, frames, freqs)"
+        object.__setattr__(self, "masks", frozen_array(self.masks, np.float64, 4, layout))
 
 
 def compute_irm(

@@ -346,6 +346,9 @@ def _gram(lags: np.ndarray) -> np.ndarray:
             gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
             if i != j:  # toeplitz(c, c) is already symmetric
                 gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
+            # Freed before the next block is built.  The mirror reads the block
+            # itself: read from its slot in the Gram it took twice as long at 8 rows.
+            del block
     return gram
 
 

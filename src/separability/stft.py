@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip
+from .audio import AudioClip, frozen_array
 from .errors import ConfigurationError, InvalidInputError
 
 WINDOW_KINDS = ("hann", "rect")
@@ -73,15 +73,11 @@ class Spectrogram:
     sample_rate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise InvalidInputError(f"bins must be (channels, frames, freqs), got shape {arr.shape}")
+        arr = frozen_array(self.bins, np.complex128, 3, "bins must be (channels, frames, freqs)")
         if arr.shape[2] != self.config.n_bins:
             raise InvalidInputError(
                 f"frequency count {arr.shape[2]} does not match config ({self.config.n_bins} bins)"
             )
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
         object.__setattr__(self, "bins", arr)
 
     @property

@@ -6,8 +6,9 @@ resorts, of a chain that hands cho_factor the C-ordered Gram to copy:
 on a healthy Gram, on an exactly singular one (a duplicated channel,
 which takes the ridge), and with every Cholesky refused (lstsq).  Its
 right-hand sides and solutions are delay-major, and it holds one Gram
-at a time.  Through the window kernel, a dual-mono stem takes the ridge
-at the default 512 taps.
+at a time, which _gram builds holding one Toeplitz block at a time.
+Through the window kernel, a dual-mono stem takes the ridge at the
+default 512 taps.
 """
 
 import tracemalloc
@@ -94,6 +95,21 @@ def test_dense_solve_holds_one_gram_at_a_time():
     assert report.ridge == 1
     gram_bytes = (len(x) * flen) ** 2 * 8
     assert peak <= 1.25 * gram_bytes, peak / gram_bytes
+
+
+def test_gram_holds_one_toeplitz_block_at_a_time():
+    # Each block is freed before the next is built: a 2-row Gram of 512
+    # taps is four blocks, so holding two at once would peak at 1.5 Grams.
+    flen, m = 512, 2
+    lags = np.random.Generator(np.random.PCG64(m)).normal(size=(flen, m, m))
+    tracemalloc.start()
+    try:
+        _gram(lags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gram_bytes = (m * flen) ** 2 * 8
+    assert peak <= 1.3 * gram_bytes, peak / gram_bytes
 
 
 @pytest.mark.parametrize("flen", [1, 25, 512])

@@ -415,6 +415,29 @@ class TestFramewiseMatchesPerWindowCalls:
                 assert frames[j].values(name).tobytes() == expected[m, j].tobytes(), (name, j)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: decompose projects one estimate at a time and "
+    "framewise_scores every scored stem at once, so their last bits differ (ROADMAP item 2)",
+)
+def test_decompose_reproduces_framewise_scores_in_one_window(rng):
+    # The gate of ROADMAP item 2: the public per-window calls give a song's
+    # scores bit for bit.  One 1-second window of four scored stereo stems.
+    sr = 8000
+    refs = rng.normal(0.0, 0.5, (4, 2, sr))
+    mixing = np.eye(4) + rng.uniform(0.0, 0.2, (4, 4))
+    ests = np.einsum("jk,kcn->jcn", mixing, refs) + rng.normal(0.0, 0.05, (4, 2, sr))
+    references = [AudioClip(r, sr) for r in refs]
+    estimates = [AudioClip(e, sr) for e in ests]
+    frames = framewise_scores(references, estimates, FAST)
+    public = {"sdr": sdr, "isr": isr, "sir": sir, "sar": sar}
+    for j, (ref, est) in enumerate(zip(references, estimates)):
+        comp = decompose(references, est, j, FAST)
+        for name, fn in public.items():
+            want = frames[j].values(name)
+            assert np.array([fn(comp, ref)]).tobytes() == want.tobytes(), (j, name)
+
+
 class TestAggregation:
     def _frames(self, values):
         arr = np.asarray(values, dtype=np.float64)
