@@ -23,7 +23,15 @@ never a truncated one.
 ``analyze`` scores every song on one BLAS thread per process, whatever
 the environment says: song workers are the unit of parallelism, and a
 BLAS reduction split over a machine-dependent number of threads would
-make the last bits of a score depend on the core count.
+make the last bits of a score depend on the core count.  The oracle's
+transforms and masks split their frames over every CPU of the process's
+affinity mask, or run on one thread in a ``--workers`` process.  Each
+frame is computed whole by one thread, so their bytes do not depend on
+the count.
+
+Each song's log is written as soon as it is scored, so a killed run
+keeps the logs of every song it finished; the tables are written once,
+after the last song.
 """
 
 from __future__ import annotations
@@ -228,10 +236,12 @@ def _openblas_thread_controls() -> tuple[tuple, ...]:
 
 
 def _pin_blas_threads() -> None:
-    """Pool initializer: run every BLAS call of this worker on one thread."""
+    """Pool initializer: run every BLAS call and transform of this worker on one thread."""
     for get_threads, set_threads in _openblas_thread_controls():
         if get_threads() != 1:  # a worker forked from the pinned parent is already
             set_threads(1)
+    # separability.stft names the function, so reach the module through its class.
+    sys.modules[StftConfig.__module__]._frame_threads = 1
 
 
 @contextmanager
@@ -297,7 +307,7 @@ def _song_job(instruments, stft_config, oracle_config, metric_config, normalize,
     return _song_log(job, instruments=instruments, report=report, frames=frames)
 
 
-def _pool_results(run, jobs: list, workers: int) -> list[dict]:
+def _pool_results(run, jobs: list, workers: int, keep) -> list[dict]:
     """The logs ``run`` gives ``jobs``, in a pool of ``workers`` processes, in job order.
 
     A worker that dies (OOM kill, native crash) breaks the pool.  Songs
@@ -305,6 +315,7 @@ def _pool_results(run, jobs: list, workers: int) -> list[dict]:
     song then running is among the first ``workers`` lost: each reruns
     alone (an error row if its worker dies again), the rest together at
     full width, where a culprit would be isolated, so no output relies on it.
+    ``keep`` is handed each log as soon as it is read, and returns it.
     """
     results: list[dict | None] = [None] * len(jobs)
     # Under fork the pool starts all max_workers processes at the first
@@ -319,14 +330,14 @@ def _pool_results(run, jobs: list, workers: int) -> list[dict]:
                 break
         for i, future in enumerate(futures):
             with suppress(BrokenProcessPool):
-                results[i] = future.result()
+                results[i] = keep(future.result())
     lost = [i for i, log in enumerate(results) if log is None]
     if lost and len(jobs) == 1:  # the song broke a pool of its own
-        return [_song_log(jobs[0], error=futures[0].exception())]
+        return [keep(_song_log(jobs[0], error=futures[0].exception()))]
     for i in lost[:workers]:
-        results[i] = _pool_results(run, [jobs[i]], 1)[0]
+        results[i] = _pool_results(run, [jobs[i]], 1, keep)[0]
     if rest := lost[workers:]:
-        for i, log in zip(rest, _pool_results(run, [jobs[i] for i in rest], workers)):
+        for i, log in zip(rest, _pool_results(run, [jobs[i] for i in rest], workers, keep)):
             results[i] = log
     return results
 
@@ -383,11 +394,17 @@ def cmd_analyze(args) -> int:
     # An output directory that cannot be made would lose every song's work.
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    def keep(log):
+        scores = {inst: metric_json(values) for inst, values in log["scores"].items()}
+        log_name = fs_name(f"{log['song_id']}.json")
+        _write_text(out_dir / "logs" / log_name, write_json({**log, "scores": scores}))
+        return log
+
     with _one_blas_thread():
         if workers <= 1:
-            logs = [run(job) for job in jobs]
+            logs = [keep(run(job)) for job in jobs]
         else:
-            logs = _pool_results(run, jobs, workers)
+            logs = _pool_results(run, jobs, workers, keep)
 
     table = ScoreTable(metadata)
     for log in logs:
@@ -401,11 +418,6 @@ def cmd_analyze(args) -> int:
     summary_payload = {inst: metric_json(values) for inst, values in summary.items()}
     _write_text(out_dir / "summary.json", write_json(envelope(metadata, summary=summary_payload)))
     _write_text(out_dir / "separability_curve.csv", _curve_csv(table, metadata))
-
-    for log in logs:
-        scores = {inst: metric_json(values) for inst, values in log["scores"].items()}
-        log_name = fs_name(f"{log['song_id']}.json")
-        _write_text(out_dir / "logs" / log_name, write_json({**log, "scores": scores}))
 
     failed = [log["song_id"] for log in logs if log["status"] != "ok"]
     for song_id in failed:

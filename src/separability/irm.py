@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio import AudioClip, alignment_fault, frozen_array
 from .errors import ConfigurationError, InvalidInputError
-from .stft import Spectrogram, StftConfig, _frame_count, _padded_segment, istft, stft
+from .stft import Spectrogram, StftConfig, _by_frames, _frame_count, _padded_segment, istft, stft
 
 # STFT frames each block of oracle_separate adds: about 1.5 s at hop 1024.
 BLOCK_FRAMES = 64
@@ -78,19 +78,26 @@ def compute_irm(
     # |X_j|^alpha goes straight into its slot and becomes the mask in place.
     n = len(source_specs)
     masks = np.empty((n, *first.bins.shape))
-    try:
+    denom = np.empty(first.bins.shape)
+
+    def ratios(run):
+        block, total = masks[:, :, run], denom[:, run]
+        # A helper thread starts at NumPy's default errstate, not the caller's.
         with np.errstate(over="raise"):
-            for mask, spec in zip(masks, source_specs):
-                np.abs(spec.bins, out=mask)
+            for mask, spec in zip(block, source_specs):
+                np.abs(spec.bins[:, run], out=mask)
                 mask **= config.alpha
-            denom = masks.sum(axis=0)
+            block.sum(axis=0, out=total)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            block /= total
+        silent = total == 0.0
+        if silent.any():
+            block[:, silent] = 1.0 / n
+
+    try:
+        _by_frames(ratios, first.n_frames)
     except FloatingPointError:
         raise InvalidInputError(f"|X|^alpha overflows float64 at alpha={config.alpha}") from None
-    silent = denom == 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        masks /= denom
-    if silent.any():
-        masks[:, silent] = 1.0 / n
     return MaskSet(masks, first.config, first.sample_rate)
 
 
@@ -106,14 +113,22 @@ def apply_masks(mask_set: MaskSet, mixture_spec: Spectrogram) -> list[Spectrogra
             "masks for shape {}, {} at {} Hz do not match the mixture spectrogram's "
             "shape {}, {} at {} Hz".format(*built, *given)
         )
+    bins = mixture_spec.bins
+    products = [np.empty(bins.shape, np.complex128) for _ in mask_set.masks]
+
+    def mask_mixture(run):
+        for mask, product in zip(mask_set.masks, products):
+            np.multiply(mask[:, run], bins[:, run], out=product[:, run])
+
+    _by_frames(mask_mixture, mixture_spec.n_frames)
     return [
         Spectrogram(
-            mask * mixture_spec.bins,
+            product,
             mixture_spec.config,
             mixture_spec.original_length,
             mixture_spec.sample_rate,
         )
-        for mask in mask_set.masks
+        for product in products
     ]
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,18 @@ WINDOW_KINDS = ("hann", "rect")
 # Relative deviation above which the squared-window overlap sum is no
 # longer considered constant.
 COLA_TOLERANCE = 1e-10
+
+# Fewest frames one thread of _by_frames takes.  Two threads broke even
+# on the oracle's calls at ~16 frames a call and saved 15% at 24 (4096/1024
+# window, 4 stereo stems, shared 2-vCPU VM).
+_MIN_RUN_FRAMES = 12
+
+# Threads _by_frames splits the frames over: every CPU this process may
+# run on, or 1 in a song worker, whose pool initializer sets it.
+if hasattr(os, "sched_getaffinity"):
+    _frame_threads = len(os.sched_getaffinity(0))
+else:
+    _frame_threads = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -202,6 +216,31 @@ def _synthesis_weight(
     return wsq, covered, uncovered
 
 
+def _by_frames(work, n_frames: int) -> None:
+    """Run ``work(run)`` on contiguous runs of ``n_frames`` frames, one per thread.
+
+    The runs are slices that cover the frames: at most ``_frame_threads``
+    of them, and more than one only where each holds ``_MIN_RUN_FRAMES``
+    frames or more.  The calling thread takes the first.  ``work`` writes only its own run's
+    frames of arrays the caller allocated, so each frame is computed once,
+    by the same code, whatever the thread count: the bytes never depend on
+    it.  Every thread is joined before this returns, and an exception
+    raised in any run reaches the caller.  A helper thread starts with
+    NumPy's default ``errstate``, so ``work`` sets the one it needs.
+    """
+    n_runs = max(1, min(_frame_threads, n_frames // _MIN_RUN_FRAMES))
+    edges = [n_frames * k // n_runs for k in range(n_runs + 1)]
+    runs = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    if n_runs == 1:
+        work(runs[0])
+        return
+    with ThreadPoolExecutor(n_runs - 1) as pool:
+        futures = [pool.submit(work, run) for run in runs[1:]]
+        work(runs[0])
+        for future in futures:
+            future.result()
+
+
 def stft(clip: AudioClip, config: StftConfig = StftConfig()) -> Spectrogram:
     """Forward transform of a clip under the given framing configuration.
 
@@ -221,7 +260,12 @@ def stft(clip: AudioClip, config: StftConfig = StftConfig()) -> Spectrogram:
     n_frames = _frame_count(clip.n_samples, config)
     x = _padded_segment(clip.samples, 0, (n_frames - 1) * hop + ws, config.pad)
     frames = np.lib.stride_tricks.sliding_window_view(x, ws, axis=-1)[:, ::hop, :]
-    bins = np.fft.rfft(frames * win, axis=-1)
+    bins = np.empty((clip.n_channels, n_frames, config.n_bins), np.complex128)
+
+    def transform(run):
+        np.fft.rfft(frames[:, run] * win, axis=-1, out=bins[:, run])
+
+    _by_frames(transform, n_frames)
     return Spectrogram(bins, config, clip.n_samples, clip.sample_rate)
 
 
@@ -245,8 +289,13 @@ def istft(spec: Spectrogram) -> AudioClip:
             f"representable by {n_frames} frames"
         )
 
-    frames = np.fft.irfft(spec.bins, n=ws, axis=-1)
-    frames *= win
+    frames = np.empty((n_channels, n_frames, ws))
+
+    def transform(run):
+        np.fft.irfft(spec.bins[:, run], n=ws, axis=-1, out=frames[:, run])
+        frames[:, run] *= win
+
+    _by_frames(transform, n_frames)
     out = np.zeros((n_channels, total))
     for t in range(n_frames):
         out[:, t * hop : t * hop + ws] += frames[:, t, :]

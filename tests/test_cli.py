@@ -5,10 +5,12 @@ analysis settings so the whole module stays fast.
 """
 
 import contextlib
+import importlib
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -22,6 +24,9 @@ import scipy.io.wavfile
 from separability import ScoreTable, cli
 from separability.cli import DEFAULT_RATIOS, _curve_csv, main
 from separability.synth import write_fixture_dataset
+
+# The package exports the function stft under the module's name.
+stft_module = importlib.import_module("separability.stft")
 
 FAST_FLAGS = ["--fast-metrics", "--window-size", "1024", "--hop", "256"]
 CSV_HEADER_LINE = "song_id,instrument,si_sdr,sdr,sir,isr,sar\n"
@@ -433,12 +438,15 @@ def test_songs_are_scored_on_one_blas_thread(tiny_dataset, tmp_path, monkeypatch
     if workers == "2":
         # Leave the parent unpinned, so that each pool worker has to pin itself.
         monkeypatch.setattr(cli, "_one_blas_thread", contextlib.nullcontext)
+    # The parent splits its transforms over 3 threads, and a forked worker
+    # inherits that count until its initializer sets it to 1.
+    monkeypatch.setattr(stft_module, "_frame_threads", 3)
     probe = tmp_path / "probe.txt"
     real_load_song = cli.load_song
 
     def load_song(song_dir, instruments):
         with open(probe, "a") as fh:
-            fh.write(f"{os.getpid()} {_blas_threads()}\n")
+            fh.write(f"{os.getpid()} {_blas_threads()} {stft_module._frame_threads}\n")
         return real_load_song(song_dir, instruments)
 
     monkeypatch.setattr(cli, "load_song", load_song)
@@ -446,7 +454,8 @@ def test_songs_are_scored_on_one_blas_thread(tiny_dataset, tmp_path, monkeypatch
     assert main(base + FAST_FLAGS + ["--workers", workers]) == 0
     lines = probe.read_text().splitlines()
     assert len(lines) == 2
-    assert {line.split(" ", 1)[1] for line in lines} == {"(1, 1)"}
+    frame_threads = "1" if workers == "2" else "3"
+    assert {line.split(" ", 1)[1] for line in lines} == {f"(1, 1) {frame_threads}"}
 
 
 def test_pool_initializer_pins_a_spawned_worker():
@@ -466,8 +475,10 @@ def test_pool_initializer_sets_only_unpinned_libraries(monkeypatch):
 
     controls = (control("pinned", 1), control("unpinned", 4))
     monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: controls)
+    monkeypatch.setattr(stft_module, "_frame_threads", 2)
     cli._pin_blas_threads()
     assert calls == [("unpinned", 1)]
+    assert stft_module._frame_threads == 1
 
 
 def test_analyze_restores_the_callers_blas_threads(tiny_dataset, tmp_path, monkeypatch):
@@ -544,12 +555,17 @@ def test_killed_workers_rerun_alone_only_the_songs_that_can_have_started(
     base = ["analyze", "--dataset", str(root)] + FAST_FLAGS
     assert main(base + ["--out", str(clean)]) == 0
     real_load_song = cli.load_song
-    sizes = []
+    sizes, pools = [], []  # per pool: its width, and the songs submitted to it
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
+            pools.append([])
             super().__init__(max_workers=max_workers, initializer=initializer)
+
+        def submit(self, fn, job):
+            pools[-1].append(job[1])
+            return super().submit(fn, job)
 
     def load_song(song_dir, instruments):
         if Path(song_dir).name in killers:
@@ -565,10 +581,14 @@ def test_killed_workers_rerun_alone_only_the_songs_that_can_have_started(
     assert failed == [f"failed: {song}" for song in killers]
 
     # Of the songs a broken pool lost, only the three that can have been
-    # running rerun alone; one pool per song would be six.
+    # running rerun alone, and the rest in one pool, however many songs
+    # finished before the break; one pool per song would be six.
     assert sizes[0] == 3 and max(sizes) == 3
     if len(killers) == 1:
-        assert sizes.count(1) <= 3
+        lost = [song for pool in pools[1:] for song in pool]
+        rest = [lost[3:]] if lost[3:] else []
+        assert pools[1:] == [[song] for song in lost[:3]] + rest
+        assert killers[0] in lost[:3]
     for song in killers:
         log = json.loads((killed / "logs" / f"{song}.json").read_text())
         assert log["status"] == "error"
@@ -580,6 +600,61 @@ def test_killed_workers_rerun_alone_only_the_songs_that_can_have_started(
     clean_lines = (clean / "scores.csv").read_text().splitlines(keepends=True)
     expected = "".join(line for line in clean_lines if line.split(",")[0] not in killers)
     assert (killed / "scores.csv").read_text() == expected
+
+
+# The parent kills itself as it starts the song named by argv[1], the
+# way an OOM kill would, after it scored every song before it.
+_KILLED_AT_SONG = """
+import os, signal, sys
+from separability import cli
+
+real_load_song = cli.load_song
+
+def load_song(song_dir, instruments):
+    if song_dir.name == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_load_song(song_dir, instruments)
+
+cli.load_song = load_song
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("finished", [1, 3])
+def test_a_killed_run_keeps_the_log_of_every_song_it_finished(tmp_path, finished):
+    root = tmp_path / "ds"
+    write_fixture_dataset(root, n_songs=4, seed=5, duration=0.3, n_channels=1)
+    clean, killed = tmp_path / "clean", tmp_path / "killed"
+    base = ["analyze", "--dataset", str(root)] + FAST_FLAGS
+    assert main(base + ["--out", str(clean)]) == 0
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _KILLED_AT_SONG, f"song{finished:02d}", *base, "--out", str(killed)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == -signal.SIGKILL, run.stderr
+    kept = [f"logs/song{i:02d}.json" for i in range(finished)]
+    assert sorted(str(p.relative_to(killed)) for p in killed.rglob("*") if p.is_file()) == kept
+    for name in kept:
+        assert (killed / name).read_bytes() == (clean / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_each_log_is_written_as_its_song_is_scored(tiny_dataset, tmp_path, monkeypatch, workers):
+    written = []
+    real_write_text = cli._write_text
+
+    def write_text(path, text):
+        written.append(str(path.relative_to(tmp_path)))
+        real_write_text(path, text)
+
+    monkeypatch.setattr(cli, "_write_text", write_text)
+    argv = ["analyze", "--dataset", str(tiny_dataset), "--out", str(tmp_path), "--workers", workers]
+    assert main(argv + FAST_FLAGS) == 0
+    assert written[:2] == ["logs/song00.json", "logs/song01.json"]
+    assert sorted(written[2:]) == sorted(
+        ["scores.csv", "scores.json", "summary.csv", "summary.json", "separability_curve.csv"]
+    )
 
 
 def test_curve_writes_unsigned_zero_like_scores_csv():
@@ -1171,9 +1246,9 @@ def test_env_variable_names_the_output_directory(tiny_dataset, tmp_path, monkeyp
 def test_env_variable_sets_the_worker_count(tiny_dataset, tmp_path, monkeypatch):
     seen = []
 
-    def serial(run, jobs, workers):
+    def serial(run, jobs, workers, keep):
         seen.append(workers)
-        return [run(job) for job in jobs]
+        return [keep(run(job)) for job in jobs]
 
     monkeypatch.setattr(cli, "_pool_results", serial)
     monkeypatch.setenv("SEPARABILITY_WORKERS", "3")
