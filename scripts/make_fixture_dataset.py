@@ -7,7 +7,7 @@ so oracle separation has real work to do without needing licensed audio.
 
 import argparse
 
-from separability.synth import write_fixture_dataset
+from synth import write_fixture_dataset
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,8 @@ The printed table should be monotone down the overlap column.
 import argparse
 
 from separability import AudioClip, oracle_separate, si_sdr
-from separability.synth import overlapping_sine_sources
+
+from synth import overlapping_sine_sources
 
 SR = 44100
 

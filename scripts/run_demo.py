@@ -11,7 +11,8 @@ import argparse
 from pathlib import Path
 
 from separability.cli import main as cli
-from separability.synth import write_fixture_dataset
+
+from synth import write_fixture_dataset
 
 # Small analysis windows keep the demo to a few seconds of compute.
 FAST = ["--fast-metrics", "--window-size", "1024", "--hop", "256"]

@@ -4,7 +4,9 @@ Everything here is deterministic given its arguments (seeded where
 random), so fixtures written by one run are byte-identical on the next.
 Every clip is at ``SAMPLE_RATE``, the one rate ``read_wav`` accepts,
 except from ``sine_clip`` and ``fixture_stem``, which take a rate so
-that tests can build short stems at a lower one.
+that tests can build short stems at a lower one.  The scripts beside
+this file import it directly, and the tests through the ``pythonpath``
+entry in ``pyproject.toml``; the installed package does not ship it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio import AudioClip
-from .dataset import SAMPLE_RATE, write_wav
-from .errors import InvalidInputError
+from separability.audio import AudioClip
+from separability.dataset import SAMPLE_RATE, write_wav
+from separability.errors import InvalidInputError
 
 # Tone frequencies are laid out on a fixed grid so that stems occupy
 # known analysis bins: slot s means s * (sample_rate / GRID_SIZE) Hz.

@@ -236,12 +236,10 @@ def _openblas_thread_controls() -> tuple[tuple, ...]:
 
 
 def _pin_blas_threads() -> None:
-    """Pool initializer: run every BLAS call and transform of this worker on one thread."""
+    """Pool initializer: run every BLAS call of this worker on one thread."""
     for get_threads, set_threads in _openblas_thread_controls():
         if get_threads() != 1:  # a worker forked from the pinned parent is already
             set_threads(1)
-    # separability.stft names the function, so reach the module through its class.
-    sys.modules[StftConfig.__module__]._frame_threads = 1
 
 
 @contextmanager

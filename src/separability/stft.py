@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,13 +32,6 @@ COLA_TOLERANCE = 1e-10
 # on the oracle's calls at ~16 frames a call and saved 15% at 24 (4096/1024
 # window, 4 stereo stems, shared 2-vCPU VM).
 _MIN_RUN_FRAMES = 12
-
-# Threads _by_frames splits the frames over: every CPU this process may
-# run on, or 1 in a song worker, whose pool initializer sets it.
-if hasattr(os, "sched_getaffinity"):
-    _frame_threads = len(os.sched_getaffinity(0))
-else:
-    _frame_threads = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -216,10 +210,24 @@ def _synthesis_weight(
     return wsq, covered, uncovered
 
 
+def _frame_threads() -> int:
+    """Threads ``_by_frames`` splits the frames over.
+
+    One in a process ``multiprocessing`` started, such as a song worker,
+    whose siblings take the other CPUs; otherwise every CPU this process
+    may run on.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _by_frames(work, n_frames: int) -> None:
     """Run ``work(run)`` on contiguous runs of ``n_frames`` frames, one per thread.
 
-    The runs are slices that cover the frames: at most ``_frame_threads``
+    The runs are slices that cover the frames: at most ``_frame_threads()``
     of them, and more than one only where each holds ``_MIN_RUN_FRAMES``
     frames or more.  The calling thread takes the first.  ``work`` writes only its own run's
     frames of arrays the caller allocated, so each frame is computed once,
@@ -228,7 +236,7 @@ def _by_frames(work, n_frames: int) -> None:
     raised in any run reaches the caller.  A helper thread starts with
     NumPy's default ``errstate``, so ``work`` sets the one it needs.
     """
-    n_runs = max(1, min(_frame_threads, n_frames // _MIN_RUN_FRAMES))
+    n_runs = max(1, min(_frame_threads(), n_frames // _MIN_RUN_FRAMES))
     edges = [n_frames * k // n_runs for k in range(n_runs + 1)]
     runs = [slice(a, b) for a, b in zip(edges, edges[1:])]
     if n_runs == 1:

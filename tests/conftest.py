@@ -22,7 +22,7 @@ def rng():
 @pytest.fixture(scope="session")
 def fixture_dataset(tmp_path_factory):
     """A small on-disk synthetic dataset shared by dataset/CLI tests."""
-    from separability.synth import write_fixture_dataset
+    from synth import write_fixture_dataset
 
     root = tmp_path_factory.mktemp("dataset")
     manifest = write_fixture_dataset(

@@ -35,7 +35,7 @@ from separability import (
     stft,
 )
 from separability.cli import DEFAULT_RATIOS, main
-from separability.synth import noise_clip, overlapping_sine_sources
+from synth import noise_clip, overlapping_sine_sources
 from oracles import delayed_matrix, dense_metrics, direct_spearman
 
 SR = 44100
@@ -295,7 +295,7 @@ def test_a10_end_to_end_determinism(fixture_dataset, tmp_path):
     rerun_same = outs["first"] == outs["second"]
     workers_same = outs["first"] == outs["wide"]
 
-    from separability.synth import write_fixture_dataset
+    from synth import write_fixture_dataset
 
     big_root = tmp_path / "train20"
     write_fixture_dataset(big_root, n_songs=20, seed=3, duration=0.05, n_channels=1)

@@ -103,6 +103,10 @@ class TestSelectSubset:
         with pytest.raises(InvalidInputError):
             select_subset(self.RANKING, "middle", 0.5)
 
+    def test_empty_ranking_rejected(self):
+        with pytest.raises(InvalidInputError, match="cannot select from an empty ranking"):
+            select_subset([], "top", 0.5)
+
     def test_top_bottom_disjoint_at_half(self):
         top = set(select_subset(self.RANKING, "top", 0.5).selected)
         bottom = set(select_subset(self.RANKING, "bottom", 0.5).selected)
@@ -140,6 +144,11 @@ class TestPearson:
     def test_too_few_pairs(self):
         with pytest.raises(InvalidInputError):
             pearson([1.0, math.nan], [2.0, 3.0])
+
+    @pytest.mark.parametrize("y", [[1.0, 2.0], [[1.0, 2.0, 3.0]]])
+    def test_vectors_of_another_shape_rejected(self, y):
+        with pytest.raises(InvalidInputError, match="x and y must be equal-length vectors"):
+            pearson([1.0, 2.0, 3.0], y)
 
     def test_zero_variance(self):
         with pytest.raises(UndefinedCorrelationError):

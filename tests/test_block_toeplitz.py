@@ -14,7 +14,7 @@ import scipy.fft
 import scipy.linalg
 from scipy.signal import fftconvolve
 
-from separability import AudioClip, MetricConfig, ScoringReport, framewise_scores
+from separability import AudioClip, MetricConfig, ScoringReport, framewise_scores, metrics
 from separability.metrics import (
     _DIRECT_MAX_LAG,
     _MIN_BLOCK,
@@ -25,9 +25,9 @@ from separability.metrics import (
     _synthesize,
     fftconvolve as package_fftconvolve,
 )
-from separability.synth import fixture_stem
 
 from oracles import block_lag_correlations, dense_metrics
+from synth import fixture_stem
 
 
 def direct_lags(x: np.ndarray, y: np.ndarray, flen: int) -> np.ndarray:
@@ -169,27 +169,63 @@ def test_recursion_that_breaks_down_past_order_zero_takes_dense_fallback():
     assert report.dense_fallback == 1
 
 
-def test_framewise_scores_match_dense_oracle_at_four_stereo_stems():
-    rate, n_src = 4000, 4
+def four_stereo_stems(rate: int, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(J=4, C=2, n) fixture stems and estimates that leak, echo and hiss: a PD Gram."""
+    n_src = 4
     gen = np.random.Generator(np.random.PCG64(21))
     refs = np.stack(
-        [fixture_stem(gen, 0, j, rate, sample_rate=rate).samples for j in range(n_src)]
+        [fixture_stem(gen, 0, j, n_samples, sample_rate=rate).samples for j in range(n_src)]
     )
     ests = np.empty_like(refs)
     for j in range(n_src):
         ests[j] = 0.8 * refs[j] + 0.2 * refs[(j + 1) % n_src] + gen.normal(0.0, 0.02, refs[j].shape)
         ests[j][:, 3:] += 0.1 * refs[j][:, :-3]
+    return refs, ests
+
+
+def scored(refs, ests, rate, flen):
+    report = ScoringReport()
+    frames = framewise_scores(
+        [AudioClip(r, rate) for r in refs],
+        [AudioClip(e, rate) for e in ests],
+        MetricConfig(filter_length=flen),
+        report,
+    )
+    return frames, report
+
+
+def test_framewise_scores_match_dense_oracle_at_four_stereo_stems():
+    rate = 4000
+    refs, ests = four_stereo_stems(rate, rate)
     # One tap and the shortest FFT-path filter, then a longer one.
     for flen in (1, _DIRECT_MAX_LAG + 1, 64):
-        report = ScoringReport()
-        frames = framewise_scores(
-            [AudioClip(r, rate) for r in refs],
-            [AudioClip(e, rate) for e in ests],
-            MetricConfig(filter_length=flen),
-            report,
-        )
+        frames, report = scored(refs, ests, rate, flen)
         assert report.windows_scored == 1 and report.dense_fallback == 0
-        for j in range(n_src):
+        for j in range(len(refs)):
             want = dense_metrics(refs, ests[j], j, flen)
             for name, value in want.items():
                 assert abs(frames[j].values(name)[0] - value) < 1e-6, (flen, j, name)
+
+
+@pytest.mark.parametrize("flen", [1, _DIRECT_MAX_LAG + 1])
+def test_a_solution_that_misses_the_normal_equations_takes_dense_fallback(monkeypatch, flen):
+    # The recursion succeeds on this input; with no residual accepted, the
+    # refined solution is refused and every window scores through the
+    # dense Cholesky instead, to the same scores.
+    rate = 4000
+    refs, ests = four_stereo_stems(rate, 2 * rate)
+    block_frames, block_report = scored(refs, ests, rate, flen)
+    assert (block_report.windows_scored, block_report.dense_fallback) == (2, 0)
+
+    monkeypatch.setattr(metrics, "_RESIDUAL_TOL", 0.0)
+    frames, report = scored(refs, ests, rate, flen)
+    assert report.dense_fallback == report.windows_scored == 2
+    assert (report.ridge, report.lstsq) == (0, 0)
+    for w in range(2):
+        window = slice(w * rate, (w + 1) * rate)
+        for j in range(len(refs)):
+            want = dense_metrics(refs[:, :, window], ests[j][:, window], j, flen)
+            for name, value in want.items():
+                got = frames[j].values(name)[w]
+                assert abs(got - block_frames[j].values(name)[w]) < 1e-6, (w, j, name)
+                assert abs(got - value) < 1e-6, (w, j, name)

@@ -23,7 +23,8 @@ import scipy.io.wavfile
 
 from separability import ScoreTable, cli
 from separability.cli import DEFAULT_RATIOS, _curve_csv, main
-from separability.synth import write_fixture_dataset
+
+from synth import write_fixture_dataset
 
 # The package exports the function stft under the module's name.
 stft_module = importlib.import_module("separability.stft")
@@ -438,15 +439,15 @@ def test_songs_are_scored_on_one_blas_thread(tiny_dataset, tmp_path, monkeypatch
     if workers == "2":
         # Leave the parent unpinned, so that each pool worker has to pin itself.
         monkeypatch.setattr(cli, "_one_blas_thread", contextlib.nullcontext)
-    # The parent splits its transforms over 3 threads, and a forked worker
-    # inherits that count until its initializer sets it to 1.
-    monkeypatch.setattr(stft_module, "_frame_threads", 3)
+    # The parent may run on 3 CPUs, and a forked worker inherits that mask
+    # but still splits its transforms over one thread.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     probe = tmp_path / "probe.txt"
     real_load_song = cli.load_song
 
     def load_song(song_dir, instruments):
         with open(probe, "a") as fh:
-            fh.write(f"{os.getpid()} {_blas_threads()} {stft_module._frame_threads}\n")
+            fh.write(f"{os.getpid()} {_blas_threads()} {stft_module._frame_threads()}\n")
         return real_load_song(song_dir, instruments)
 
     monkeypatch.setattr(cli, "load_song", load_song)
@@ -475,10 +476,8 @@ def test_pool_initializer_sets_only_unpinned_libraries(monkeypatch):
 
     controls = (control("pinned", 1), control("unpinned", 4))
     monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: controls)
-    monkeypatch.setattr(stft_module, "_frame_threads", 2)
     cli._pin_blas_threads()
     assert calls == [("unpinned", 1)]
-    assert stft_module._frame_threads == 1
 
 
 def test_analyze_restores_the_callers_blas_threads(tiny_dataset, tmp_path, monkeypatch):
@@ -893,12 +892,18 @@ GOOD_JSON_ROW = '{"song_id": "a", "instrument": "bass", "sdr": 1.0}'
          "error: line 2: score '+5' is not a decimal number\n"),
         ("select", "scores.csv", CSV_HEADER_LINE + "a,bass,1,1,1,1,\u0663\n",
          "error: line 2: score '\u0663' is not a decimal number\n"),
+        ("rank", "scores.csv", "# format_version=1\n", "error: no header line found\n"),
+        ("select", "scores.json", '{"config": [], "rows": []}',
+         "error: 'config' must be an object and 'rows' a list\n"),
+        ("correlate", "scores.json", '{"rows": [["a", "bass", 1.0]]}',
+         "error: row 0: expected an object with song_id and instrument\n"),
     ],
     ids=["csv-cell", "not-json", "json-list", "csv-inf", "json-infinity", "not-utf8",
          "csv-duplicate", "json-overflow", "json-long-integer", "json-deep", "json-unknown-key",
          "json-null-song", "json-integer-instrument", "json-true-score", "json-string-score",
          "json-padded-nan-string", "json-null-version", "json-list-config", "csv-nan",
-         "csv-padded-exponent", "csv-underscore", "csv-plus", "csv-non-ascii-digit"],
+         "csv-padded-exponent", "csv-underscore", "csv-plus", "csv-non-ascii-digit",
+         "csv-no-header", "json-config-list", "json-row-list"],
 )
 def test_malformed_score_table_is_a_usage_error(tmp_path, capsys, command, name, text, message):
     scores = tmp_path / name
@@ -1090,7 +1095,7 @@ def test_mute_plan_rejects_unknown_instrument(fixture_dataset, tmp_path, capsys)
 
 def test_mute_plan_validates_ratios_before_writing(fixture_dataset, tmp_path, capsys):
     out_dir = tmp_path / "plans"
-    for ratios in ("0.2,1.5", "", ","):
+    for ratios in ("0.2,1.5", "", ",", "0.1,abc"):
         code = main(
             [
                 "mute-plan",

@@ -37,6 +37,12 @@ def test_audio_clip_rejects_non_finite_samples(bad):
         AudioClip(samples, SR)
 
 
+@pytest.mark.parametrize("rate", [0, -44100, 44100.0, "44100", None])
+def test_audio_clip_rejects_a_rate_that_is_not_a_positive_integer(rate):
+    with pytest.raises(InvalidInputError, match="sample_rate must be a positive integer"):
+        AudioClip(np.zeros((2, 100)), rate)
+
+
 def test_audio_clip_window_is_a_read_only_contiguous_copy(rng):
     clip = _clip(rng, n=500)
     win = clip.window(100, 350)
@@ -103,6 +109,13 @@ class TestWavIo:
         with pytest.raises(DatasetError, match="22050"):
             read_wav(path)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_unsupported_sample_format_rejected(self, tmp_path, dtype):
+        path = tmp_path / "odd.wav"
+        scipy.io.wavfile.write(path, SR, np.zeros(500, dtype))
+        with pytest.raises(DatasetError, match=f"unsupported sample format {np.dtype(dtype)}"):
+            read_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):
             read_wav(tmp_path / "nope.wav")
@@ -160,6 +173,10 @@ class TestLoadSong:
         song = load_song(song_dir, ["bass", "drums"])
         assert song.instruments == ("bass", "drums")
 
+    def test_missing_song_directory_named(self, tmp_path):
+        with pytest.raises(DatasetError, match="song directory not found: .*ghost"):
+            load_song(tmp_path / "ghost", ["bass", "drums"])
+
     def test_missing_stem_named(self, tmp_path, rng):
         song_dir = _write_song(tmp_path, "songC", {"bass": _clip(rng), "drums": _clip(rng)})
         with pytest.raises(MissingStemError, match="vocals"):
@@ -216,6 +233,15 @@ class TestNormalizeLoudness:
         assert np.all(out.stems["quiet"].samples == 0.0)
         assert np.max(np.abs(out.stems["live"].samples - live.samples)) < 1e-12
 
+    # An empty stem has no samples to measure; its RMS is 0, as a silent one's.
+    @pytest.mark.parametrize("n_samples", [2000, 0])
+    def test_a_song_without_sound_is_returned_unscaled(self, n_samples):
+        stems = {name: AudioClip(np.zeros((2, n_samples)), SR) for name in ("a", "b")}
+        assert stems["a"].rms() == 0.0
+        out = normalize_loudness(MultitrackSong("s", stems))
+        for name, clip in stems.items():
+            assert out.stems[name].samples.tobytes() == clip.samples.tobytes()
+
     def test_idempotent(self, rng):
         song = MultitrackSong("s", {"a": _clip(rng, scale=0.1), "b": _clip(rng, scale=0.5)})
         once = normalize_loudness(song)
@@ -271,6 +297,8 @@ class TestManifest:
         m = load_manifest(manifest)
         assert m.song_ids("train") == ("s1",)
         assert m.song_ids("test") == ("s3",)
+        with pytest.raises(DatasetError, match="unknown split 'holdout'"):
+            m.song_ids("holdout")
 
     def test_unknown_split_rejected(self, tmp_path, rng):
         self._dataset(tmp_path, rng)
@@ -319,10 +347,32 @@ class TestManifest:
         with pytest.raises(DatasetError, match=message):
             DatasetManifest(Path("."), entries, ("bass",))
 
+    def test_manifest_built_directly_needs_an_instrument(self):
+        with pytest.raises(DatasetError, match="manifest declares no instruments"):
+            DatasetManifest(Path("."), (("s1", "train"),), ())
+
     def test_leading_byte_order_mark_is_skipped(self, tmp_path, rng):
         manifest = self._dataset(tmp_path, rng)
         manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
         assert load_manifest(manifest).entries == (("s1", "train"), ("s2", "train"))
+
+    def test_missing_manifest_rejected(self, tmp_path):
+        with pytest.raises(DatasetError, match="manifest not found: .*nope.tsv"):
+            load_manifest(tmp_path / "nope.tsv")
+
+    def test_manifest_listing_no_song_rejected(self, tmp_path, rng):
+        manifest = self._dataset(tmp_path, rng)
+        manifest.write_text("# no songs yet\n\n")
+        with pytest.raises(DatasetError, match="no songs listed"):
+            load_manifest(manifest)
+
+    def test_songs_sharing_no_stem_rejected(self, tmp_path, rng):
+        _write_song(tmp_path, "s1", {"bass": _clip(rng), "drums": _clip(rng)})
+        _write_song(tmp_path, "s2", {"other": _clip(rng), "vocals": _clip(rng)})
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("s1\ttrain\ns2\ttrain\n")
+        with pytest.raises(DatasetError, match="no instrument stems shared by every listed song"):
+            load_manifest(manifest)
 
     def test_missing_directory_rejected(self, tmp_path, rng):
         manifest = self._dataset(tmp_path, rng)

@@ -29,9 +29,9 @@ from separability import (
     oracle_separate,
 )
 from separability.metrics import METRICS, _dense_solve, _full_length_lags, _gram
-from separability.synth import write_fixture_dataset
 
 from oracles import copying_dense_solve, entrywise_gram
+from synth import write_fixture_dataset
 
 
 def regressors(case: str) -> np.ndarray:

@@ -1,12 +1,20 @@
 """The oracle's frame-wise work split over threads: same bytes at any count.
 
 ``stft``, ``istft``, ``compute_irm`` and ``apply_masks`` cut the frame
-axis into one run per thread.  Each test sets the thread count and the
-shortest run directly, so small inputs are split as a song's blocks are.
+axis into one run per thread.  Each test of the bytes sets the thread
+count and the shortest run directly, so small inputs are split as a
+song's blocks are.  The count itself is every CPU of the affinity mask,
+or one in a process ``multiprocessing`` started.
 """
 
 import importlib
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +34,7 @@ from separability import (
 
 # The package exports the function stft under the module's name.
 stft_module = importlib.import_module("separability.stft")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CFG = StftConfig(256, 64)
 THREADS = (1, 2, 3)
@@ -37,7 +46,7 @@ def threads(monkeypatch):
     monkeypatch.setattr(stft_module, "_MIN_RUN_FRAMES", 1)
 
     def use(count):
-        monkeypatch.setattr(stft_module, "_frame_threads", count)
+        monkeypatch.setattr(stft_module, "_frame_threads", lambda: count)
 
     return use
 
@@ -109,7 +118,7 @@ def test_an_exception_in_a_helper_run_reaches_the_caller(threads):
 
 
 def test_runs_are_never_shorter_than_the_minimum(monkeypatch):
-    monkeypatch.setattr(stft_module, "_frame_threads", 8)
+    monkeypatch.setattr(stft_module, "_frame_threads", lambda: 8)
     seen = []
     stft_module._by_frames(seen.append, 2 * stft_module._MIN_RUN_FRAMES + 1)
     assert len(seen) == 2
@@ -132,3 +141,24 @@ def test_no_thread_outlives_a_call(threads):
     assert threading.active_count() == before
     oracle_separate(AudioClip(sum(c.samples for c in clips), 44100), clips, CFG)
     assert threading.active_count() == before
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def test_a_process_started_from_a_shell_splits_over_every_cpu_it_may_run_on():
+    code = "import importlib; print(importlib.import_module('separability.stft')._frame_threads())"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(child.stdout) == _cpus() == stft_module._frame_threads()
+
+
+# A forked song worker is covered by the analyze probe in test_cli.py.
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_a_worker_multiprocessing_started_splits_over_one_thread(method):
+    with ProcessPoolExecutor(1, multiprocessing.get_context(method)) as pool:
+        assert pool.submit(stft_module._frame_threads).result(timeout=120) == 1

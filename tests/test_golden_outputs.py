@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from separability.cli import main
-from separability.synth import write_fixture_dataset
+
+from synth import write_fixture_dataset
 
 GOLDEN = Path(__file__).parent / "golden"
 

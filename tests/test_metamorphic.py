@@ -45,7 +45,8 @@ from separability import (
     oracle_separate,
 )
 from separability.metrics import METRICS
-from separability.synth import write_fixture_dataset
+
+from synth import write_fixture_dataset
 
 WINDOW = 44100  # samples in one metric window
 FILTER_LENGTHS = (1, 25)

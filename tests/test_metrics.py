@@ -23,9 +23,9 @@ from separability import (
     sir,
 )
 from separability.metrics import METRICS, ErrorComponents, _window_splits, median_ignoring_missing
-from separability.synth import periodic_tone
 
 from oracles import bss_ratios
+from synth import periodic_tone
 
 FAST = MetricConfig(filter_length=1)
 
@@ -94,6 +94,18 @@ class TestDecomposeCases:
         target, other, _ = _tones()
         with pytest.raises(InvalidInputError):
             decompose([target, other], target, 2, FAST)
+
+    def test_no_reference_refused(self):
+        target, _, _ = _tones()
+        with pytest.raises(InvalidInputError, match="need at least one reference"):
+            decompose([], target, 0, FAST)
+
+    @pytest.mark.parametrize(
+        "shapes", [((1, 5), (1, 5), (1, 4)), ((1, 5), (2, 5), (1, 5)), ((5,), (5,), (5,))]
+    )
+    def test_components_of_different_shapes_refused(self, shapes):
+        with pytest.raises(InvalidInputError, match="component shapes disagree"):
+            ErrorComponents(*(np.zeros(shape) for shape in shapes))
 
     def test_partition_identity_stereo(self, rng):
         n = 1500
@@ -170,6 +182,22 @@ class TestRatioFormulas:
             value = fn(comp, AudioClip(s, 8000))
             assert abs(value) < 1e-6
             assert value == bss_ratios(s, comp.e_spat, comp.e_interf, comp.e_artif)[metric]
+
+    def test_silent_reference_is_missing(self):
+        target, other, _ = _tones()
+        comp = decompose([target, other], target, 0, FAST)
+        silent = AudioClip(np.zeros_like(target.samples), 44100)
+        for metric in (sdr, isr, sir, sar):
+            assert math.isnan(metric(comp, silent))
+
+    # The reference must fit the padded domain: same channels, no more samples.
+    @pytest.mark.parametrize("shape", [(2, 2000), (1, 2001)])
+    def test_reference_outside_the_decomposition_domain_refused(self, shape):
+        target, other, _ = _tones()
+        comp = decompose([target, other], target, 0, FAST)
+        for metric in (sdr, isr, sir, sar):
+            with pytest.raises(InvalidInputError, match="does not match the decomposition domain"):
+                metric(comp, AudioClip(np.ones(shape), 44100))
 
 
 class TestSiSdr:
@@ -470,3 +498,7 @@ class TestAggregation:
             FrameScores(good, good, good, good, np.zeros(4))
         with pytest.raises(InvalidInputError):
             FrameScores(good, good, good, good, np.zeros((3, 1)))
+
+    def test_frame_scores_unknown_metric_refused(self):
+        with pytest.raises(InvalidInputError, match="unknown metric 'volume'"):
+            self._frames([1.0]).values("volume")

@@ -28,9 +28,9 @@ from separability import (
 )
 from separability.irm import BLOCK_FRAMES
 from separability.metrics import METRICS
-from separability.synth import fixture_stem
 
 from oracles import whole_song_oracle_separate
+from synth import fixture_stem
 
 HANN = StftConfig(256, 64)
 RECT = StftConfig(16, 16, "rect")

@@ -61,6 +61,8 @@ class TestTable:
         table = ScoreTable()
         with pytest.raises(InvalidInputError):
             table.add_row("a", "bass", {"volume": 11.0})
+        with pytest.raises(InvalidInputError, match="unknown metric 'volume'"):
+            _table([("a", "bass", 1.0)]).value("a", "bass", "volume")
 
     @pytest.mark.parametrize("song_id,instrument", [("a,b", "bass"), ("a", "bass,di")])
     def test_comma_in_label_rejected(self, song_id, instrument):

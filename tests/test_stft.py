@@ -208,3 +208,5 @@ class TestValidation:
         spec = stft(_clip(rng, 1000), StftConfig(256, 64))
         assert spec.n_bins == 129
         assert spec.bins.flags.writeable is False
+        with pytest.raises(InvalidInputError, match="frequency count 128 does not match config"):
+            Spectrogram(spec.bins[:, :, :128], spec.config, 1000, spec.sample_rate)
