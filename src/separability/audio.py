@@ -9,6 +9,11 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def frozen_array(value, dtype, ndim: int, layout: str) -> np.ndarray:
     """value as a read-only C-contiguous array of dtype and rank ndim; copies only when it must."""
     arr = np.asarray(value, dtype=dtype)
@@ -39,7 +44,7 @@ class AudioClip:
         arr = frozen_array(samples, np.float64, 2, "samples must be 1-D or (channels, samples)")
         if not np.isfinite(arr).all():
             raise InvalidInputError("samples must be finite; found NaN or infinite values")
-        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
+        if not is_integer(self.sample_rate) or self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))

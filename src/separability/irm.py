@@ -67,7 +67,7 @@ def compute_irm(
     """Ratio masks from the stem spectrograms, in stem order.
 
     All spectrograms must share one shape, framing configuration and sample rate.
-    Raises :class:`InvalidInputError`, naming alpha, if |X|^alpha overflows.
+    Raises :class:`InvalidInputError`, naming alpha, if the sum of |X|^alpha is infinite.
     """
     if len(source_specs) == 0:
         raise InvalidInputError("need at least one source spectrogram")
@@ -82,22 +82,20 @@ def compute_irm(
 
     def ratios(run):
         block, total = masks[:, :, run], denom[:, run]
-        # A helper thread starts at NumPy's default errstate, not the caller's.
-        with np.errstate(over="raise"):
-            for mask, spec in zip(block, source_specs):
-                np.abs(spec.bins[:, run], out=mask)
-                mask **= config.alpha
-            block.sum(axis=0, out=total)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            block /= total
+        for mask, spec in zip(block, source_specs):
+            np.abs(spec.bins[:, run], out=mask)
+            mask **= config.alpha
+        block.sum(axis=0, out=total)
+        block /= total
         silent = total == 0.0
         if silent.any():
             block[:, silent] = 1.0 / n
 
-    try:
+    # Every term is >= 0, so an overflow anywhere leaves an infinite total.
+    with np.errstate(all="ignore"):
         _by_frames(ratios, first.n_frames)
-    except FloatingPointError:
-        raise InvalidInputError(f"|X|^alpha overflows float64 at alpha={config.alpha}") from None
+    if np.isinf(denom).any():
+        raise InvalidInputError(f"|X|^alpha overflows float64 at alpha={config.alpha}")
     return MaskSet(masks, first.config, first.sample_rate)
 
 

@@ -22,7 +22,7 @@ from typing import ClassVar, Iterator, Sequence
 import numpy as np
 import scipy.linalg
 
-from .audio import AudioClip, alignment_fault
+from .audio import AudioClip, alignment_fault, is_integer
 from .errors import ConfigurationError, InvalidInputError, SilentReferenceError
 
 # Column order used everywhere scores are reported.
@@ -47,8 +47,8 @@ class MetricConfig:
     filter_length: int = 512
 
     def __post_init__(self):
-        if self.filter_length < 1:
-            raise ConfigurationError(f"filter_length must be >= 1, got {self.filter_length}")
+        if not is_integer(self.filter_length) or self.filter_length < 1:
+            raise ConfigurationError(f"filter_length must be an integer >= 1, got {self.filter_length!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ enforced up front by :func:`check_cola`.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import multiprocessing
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip, frozen_array
+from .audio import AudioClip, frozen_array, is_integer
 from .errors import ConfigurationError, InvalidInputError
 
 WINDOW_KINDS = ("hann", "rect")
@@ -27,11 +28,6 @@ WINDOW_KINDS = ("hann", "rect")
 # Relative deviation above which the squared-window overlap sum is no
 # longer considered constant.
 COLA_TOLERANCE = 1e-10
-
-# Fewest frames one thread of _by_frames takes.  Two threads broke even
-# on the oracle's calls at ~16 frames a call and saved 15% at 24 (4096/1024
-# window, 4 stereo stems, shared 2-vCPU VM).
-_MIN_RUN_FRAMES = 12
 
 
 @dataclass(frozen=True)
@@ -49,6 +45,11 @@ class StftConfig:
     center: bool = True
 
     def __post_init__(self):
+        if not (is_integer(self.window_size) and is_integer(self.hop_size)):
+            raise ConfigurationError(
+                f"window_size and hop_size must be integers, got {self.window_size!r} "
+                f"and {self.hop_size!r}"
+            )
         if self.window_size < 2:
             raise ConfigurationError(f"window_size must be >= 2, got {self.window_size}")
         if not 0 < self.hop_size <= self.window_size:
@@ -228,22 +229,23 @@ def _by_frames(work, n_frames: int) -> None:
     """Run ``work(run)`` on contiguous runs of ``n_frames`` frames, one per thread.
 
     The runs are slices that cover the frames: at most ``_frame_threads()``
-    of them, and more than one only where each holds ``_MIN_RUN_FRAMES``
-    frames or more.  The calling thread takes the first.  ``work`` writes only its own run's
-    frames of arrays the caller allocated, so each frame is computed once,
-    by the same code, whatever the thread count: the bytes never depend on
-    it.  Every thread is joined before this returns, and an exception
-    raised in any run reaches the caller.  A helper thread starts with
-    NumPy's default ``errstate``, so ``work`` sets the one it needs.
+    of them, none empty unless there are no frames.  The calling thread
+    takes the first; each other runs in a copy of the caller's context, so
+    NumPy's ``errstate`` warns and raises in it as on the calling thread.
+    ``work`` writes only its own run's frames of arrays the caller
+    allocated, so each frame is computed once, by the same code, whatever
+    the thread count: the bytes never depend on it.  Every thread is
+    joined before this returns, and an exception raised in any run reaches
+    the caller.
     """
-    n_runs = max(1, min(_frame_threads(), n_frames // _MIN_RUN_FRAMES))
+    n_runs = max(1, min(_frame_threads(), n_frames))
     edges = [n_frames * k // n_runs for k in range(n_runs + 1)]
     runs = [slice(a, b) for a, b in zip(edges, edges[1:])]
     if n_runs == 1:
         work(runs[0])
         return
     with ThreadPoolExecutor(n_runs - 1) as pool:
-        futures = [pool.submit(work, run) for run in runs[1:]]
+        futures = [pool.submit(contextvars.copy_context().run, work, run) for run in runs[1:]]
         work(runs[0])
         for future in futures:
             future.result()

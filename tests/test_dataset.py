@@ -37,10 +37,15 @@ def test_audio_clip_rejects_non_finite_samples(bad):
         AudioClip(samples, SR)
 
 
-@pytest.mark.parametrize("rate", [0, -44100, 44100.0, "44100", None])
+@pytest.mark.parametrize("rate", [0, -44100, 44100.0, "44100", None, True])
 def test_audio_clip_rejects_a_rate_that_is_not_a_positive_integer(rate):
     with pytest.raises(InvalidInputError, match="sample_rate must be a positive integer"):
         AudioClip(np.zeros((2, 100)), rate)
+
+
+def test_audio_clip_takes_a_numpy_integer_rate():
+    clip = AudioClip(np.zeros((2, 100)), np.int64(44100))
+    assert type(clip.sample_rate) is int and clip.sample_rate == 44100
 
 
 def test_audio_clip_window_is_a_read_only_contiguous_copy(rng):

@@ -1,10 +1,10 @@
 """The oracle's frame-wise work split over threads: same bytes at any count.
 
 ``stft``, ``istft``, ``compute_irm`` and ``apply_masks`` cut the frame
-axis into one run per thread.  Each test of the bytes sets the thread
-count and the shortest run directly, so small inputs are split as a
-song's blocks are.  The count itself is every CPU of the affinity mask,
-or one in a process ``multiprocessing`` started.
+axis into one run per thread, and each run keeps the caller's NumPy error
+state.  Each test of the bytes sets the thread count directly, so small
+inputs are split as a song's blocks are.  The count itself is every CPU
+of the affinity mask, or one in a process ``multiprocessing`` started.
 """
 
 import importlib
@@ -42,8 +42,7 @@ THREADS = (1, 2, 3)
 
 @pytest.fixture
 def threads(monkeypatch):
-    """Set the frame-thread count, with runs as short as one frame."""
-    monkeypatch.setattr(stft_module, "_MIN_RUN_FRAMES", 1)
+    """Set the frame-thread count."""
 
     def use(count):
         monkeypatch.setattr(stft_module, "_frame_threads", lambda: count)
@@ -101,6 +100,36 @@ def test_an_overflow_in_the_last_frames_only_is_refused(threads, count):
     assert compute_irm(specs, OracleConfig(alpha=1.0)).masks.shape[0] == 2
     with pytest.raises(InvalidInputError, match="alpha=2.0"):
         compute_irm(specs, OracleConfig(alpha=2.0))
+    # Each |X_j|^2 is 1e308, finite, but their sum is not.
+    both = []
+    for spec in specs[1:] * 2:
+        bins = spec.bins.copy()
+        bins[:, -1, 3] = 1e154
+        both.append(Spectrogram(bins, CFG, spec.original_length, spec.sample_rate))
+    with pytest.raises(InvalidInputError, match="alpha=2.0"):
+        compute_irm(both, OracleConfig(alpha=2.0))
+
+
+@pytest.mark.parametrize("count", THREADS)
+def test_an_infinite_bin_is_refused(threads, count):
+    threads(count)
+    specs = [stft(clip, CFG) for clip in _clips(2, 4000)]
+    bins = specs[1].bins.copy()
+    bins[1, -1, 5] = np.inf  # the mask there would be inf / inf
+    specs[1] = Spectrogram(bins, CFG, specs[1].original_length, specs[1].sample_rate)
+    with pytest.raises(InvalidInputError, match="alpha=1.0"):
+        compute_irm(specs, OracleConfig(alpha=1.0))
+
+
+@pytest.mark.parametrize("count", THREADS)
+def test_every_run_raises_as_the_caller_would(threads, count):
+    threads(count)
+    samples = np.full((2, 4000), 0.1)
+    samples[:, -200:] = 1e307  # only the last run's frames overflow
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        stft(AudioClip(samples, 44100), CFG)
+    assert threading.active_count() == before
 
 
 def test_an_exception_in_a_helper_run_reaches_the_caller(threads):
@@ -115,16 +144,6 @@ def test_an_exception_in_a_helper_run_reaches_the_caller(threads):
     with pytest.raises(RuntimeError, match="run"):
         stft_module._by_frames(work, 10)
     assert sorted((r.start, r.stop) for r in seen) == [(0, 3), (3, 6), (6, 10)]
-
-
-def test_runs_are_never_shorter_than_the_minimum(monkeypatch):
-    monkeypatch.setattr(stft_module, "_frame_threads", lambda: 8)
-    seen = []
-    stft_module._by_frames(seen.append, 2 * stft_module._MIN_RUN_FRAMES + 1)
-    assert len(seen) == 2
-    seen.clear()
-    stft_module._by_frames(seen.append, stft_module._MIN_RUN_FRAMES - 1)
-    assert seen == [slice(0, stft_module._MIN_RUN_FRAMES - 1)]
 
 
 def test_no_thread_outlives_a_call(threads):

@@ -48,11 +48,20 @@ def _tones(n=2000):
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"filter_length": -512}, {"filter_length": -1}, {"filter_length": 0}],
+        [
+            {"filter_length": -512},
+            {"filter_length": -1},
+            {"filter_length": 0},
+            {"filter_length": 2.5},
+            {"filter_length": True},
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             MetricConfig(**kwargs)
+
+    def test_takes_a_numpy_integer(self):
+        assert MetricConfig(filter_length=np.int64(8)).filter_length == 8
 
 
 class TestDecomposeCases:

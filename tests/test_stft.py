@@ -39,11 +39,16 @@ class TestConfig:
             {"hop_size": 0},
             {"window_size": 256, "hop_size": 512},
             {"window_kind": "blackman"},
+            {"window_size": 4096.0, "hop_size": 1024},
+            {"window_size": 4096, "hop_size": True},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             StftConfig(**kwargs)
+
+    def test_takes_numpy_integers(self):
+        assert StftConfig(np.int64(256), np.int64(64)) == StftConfig(256, 64)
 
     def test_window_is_periodic_hann(self):
         win = window_values(StftConfig(window_size=8, hop_size=2))
